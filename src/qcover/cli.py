@@ -57,6 +57,8 @@ def _read_code_file(path: str) -> Code:
         if "words" not in obj and isinstance(obj.get("code"), dict):
             obj = obj["code"]  # accept solver-result files wrapping a code
         return code_from_dict(obj)
+    except SpaceTooLargeError:
+        raise  # a well-formed file over a space too large to index: exit 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _FileProblem(f"cannot read code file {path}: {exc}") from exc
 

@@ -1,9 +1,10 @@
 """Covering codes: membership, covering verification, exact density, file I/O.
 
-A code is a deduplicated set of words living in one Hamming space. Covering
-verification offers three routes: a vectorized layered expansion (default),
-a pure-Python per-ball bitmap, and the per-word brute-force scan kept as the
-independent oracle for tests.
+A code is a sorted array of distinct word indices in one Hamming space.
+Exhaustive covering verification offers two routes: a vectorized layered
+expansion (default) and the per-word brute-force scan kept as the
+independent oracle for tests. Sampled verification spot-checks random words
+on spaces too large to enumerate.
 """
 
 from __future__ import annotations
@@ -22,36 +23,78 @@ from .hamming import (
     HammingSpace,
     Word,
     ball_volume,
-    enumerate_ball,
+    check_radius,
+    digits_to_indices,
     enumerate_space,
     expand_within_radius,
     hamming_distance,
     index_word,
-    word_index,
+    indices_to_digits,
 )
 
 
-@dataclass(frozen=True)
+def unique_indices(indices: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an index array (``np.unique`` without its hash pass)."""
+    s = np.sort(indices)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
+
+
+@dataclass(frozen=True, eq=False)
 class Code:
-    """A set of codewords in one Hamming space (no duplicates by construction)."""
+    """A set of codewords in one Hamming space, stored as word indices.
+
+    ``indices`` is a read-only, strictly increasing int64 array of
+    lexicographic word indices (see :func:`~qcover.hamming.word_index`), so
+    index order is word order and duplicates cannot occur. Tuples appear only
+    in :meth:`from_words`, :attr:`words` and :meth:`sorted_words`.
+    """
 
     space: HammingSpace
-    words: frozenset
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
-        for w in self.words:
-            if not self.space.contains(w):
-                raise ValueError(f"{w!r} is not a word of [{self.space.q}]^{self.space.n}")
+        sp = self.space
+        sp.check_indexable()
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise TypeError(
+                "Code indices must be a 1-D integer array; use Code.from_words for words"
+            )
+        idx = idx.astype(np.int64)  # a private copy the code owns
+        if idx.size and (idx[0] < 0 or idx[-1] >= sp.size or np.any(idx[1:] <= idx[:-1])):
+            raise ValueError(
+                f"code indices must be strictly increasing within [0, {sp.size}) "
+                f"for [{sp.q}]^{sp.n}"
+            )
+        idx.flags.writeable = False
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def from_words(cls, space: HammingSpace, words: Iterable[Sequence[int]]) -> "Code":
-        return cls(space, frozenset(space.require_word(w) for w in words))
+        """Build a code from word tuples in any order; duplicates collapse."""
+        rows = [space.require_word(w) for w in words]
+        digits = np.array(rows, dtype=np.int64).reshape(len(rows), space.n)
+        return cls(space, unique_indices(digits_to_indices(space, digits)))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.indices)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Code):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.indices.tobytes()))
+
+    @property
+    def words(self) -> frozenset:
+        """The codewords as a set of tuples."""
+        return frozenset(self.sorted_words())
 
     def sorted_words(self) -> List[Word]:
-        return sorted(self.words)
+        """The codewords as tuples in lexicographic order."""
+        return [tuple(row) for row in indices_to_digits(self.space, self.indices).tolist()]
 
 
 @dataclass(frozen=True)
@@ -103,22 +146,9 @@ class SampleVerdict:
 
 def coverage_mask(code: Code, radius: int) -> np.ndarray:
     """Boolean array over word indices marking words within ``radius`` of the code."""
-    sp = code.space
-    mask = np.zeros(sp.size, dtype=bool)
-    if code.words:
-        mask[[word_index(sp, w) for w in code.words]] = True
-    return expand_within_radius(sp, mask, radius)
-
-
-def _coverage_bitmap(code: Code, radius: int) -> bytearray:
-    """Per-ball bitmap marking (pure Python alternative to coverage_mask)."""
-    sp = code.space
-    bitmap = bytearray((sp.size + 7) // 8)
-    for c in code.words:
-        for w in enumerate_ball(sp, c, radius):
-            i = word_index(sp, w)
-            bitmap[i >> 3] |= 1 << (i & 7)
-    return bitmap
+    mask = np.zeros(code.space.size, dtype=bool)
+    mask[code.indices] = True
+    return expand_within_radius(code.space, mask, radius)
 
 
 def verify_covering(
@@ -131,25 +161,18 @@ def verify_covering(
     """Exhaustively decide whether every word is within ``radius`` of the code.
 
     ``method`` selects the verification route: "expand" (vectorized layered
-    expansion, default), "ballmark" (pure-Python per-ball bitmap), or "scan"
-    (per-word brute force). All three produce the identical verdict.
+    expansion, default) or "scan" (per-word brute force, the test oracle).
+    Both produce the identical verdict.
     """
     sp = code.space
     sp.check_enumerable(guard)
     if method == "scan":
         return verify_covering_scan(code, radius, guard=guard)
     if method == "expand":
-        mask = coverage_mask(code, radius)
-        holes = np.flatnonzero(~mask)
+        holes = np.flatnonzero(~coverage_mask(code, radius))
         if holes.size == 0:
             return CoverVerdict(True)
         return CoverVerdict(False, index_word(sp, int(holes[0])))
-    if method == "ballmark":
-        bitmap = _coverage_bitmap(code, radius)
-        for i in range(sp.size):
-            if not (bitmap[i >> 3] >> (i & 7)) & 1:
-                return CoverVerdict(False, index_word(sp, i))
-        return CoverVerdict(True)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -161,6 +184,7 @@ def verify_covering_scan(
     Costs q^n * |K| distance computations; kept as the independent baseline
     the faster routes are checked against.
     """
+    check_radius(radius)
     sp = code.space
     sp.check_enumerable(guard)
     words = code.sorted_words()
@@ -176,24 +200,29 @@ def verify_covering_sampled(
     """Spot-check ``samples`` uniform random words against the code.
 
     Usable on spaces far beyond the enumeration guard. Deterministic for a
-    fixed seed.
+    fixed seed. Each sample costs one vectorized distance test against the
+    code's digit columns, whatever the radius.
     """
+    check_radius(radius)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     sp = code.space
     rng = random.Random(f"sampled-verify:{seed}")
-    words = code.sorted_words()
+    columns = np.ascontiguousarray(indices_to_digits(sp, code.indices).T)  # (n, |K|)
+    dist_dtype = np.min_scalar_type(sp.n)
     for k in range(samples):
         w = tuple(rng.randrange(sp.q) for _ in range(sp.n))
-        if not any(hamming_distance(w, c) <= radius for c in words):
+        mismatched = columns != np.asarray(w, dtype=columns.dtype)[:, None]
+        if not np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius):
             return SampleVerdict(True, w, k + 1)
     return SampleVerdict(False, None, samples)
 
 
 # ---------------------------------------------------------------------------
 # Code file format: {"q": int, "n": int, "words": [str, ...]} with words as
-# digit strings for q <= 10 and comma-separated integers otherwise. The
-# serialized form is canonical: sorted keys, words in lexicographic order.
+# digit strings for q <= 10 and comma-separated integers otherwise, every
+# symbol in ASCII decimal digits. The serialized form is canonical: sorted
+# keys, words in lexicographic order.
 # ---------------------------------------------------------------------------
 
 
@@ -203,26 +232,50 @@ def word_to_text(w: Sequence[int], q: int) -> str:
     return ",".join(str(s) for s in w)
 
 
-def text_to_word(text: str, space: HammingSpace) -> Word:
-    if space.q <= 10:
-        syms = [int(ch) for ch in text]
-    else:
-        syms = [int(part) for part in text.split(",")] if text else []
-    return space.require_word(syms)
+def _comma_word(text: str, space: HammingSpace) -> Word:
+    """Parse one q > 10 word: comma-separated symbols in ASCII decimal digits."""
+    if not isinstance(text, str):
+        raise TypeError(f"code words must be strings, got {text!r}")
+    parts = text.split(",") if text else []
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"{text!r} is not a word of [{space.q}]^{space.n}")
+    return space.require_word(int(p) for p in parts)
+
+
+def _digit_matrix(texts: List[str], space: HammingSpace) -> np.ndarray:
+    """Parse q <= 10 digit strings into a validated (len(texts), n) uint8 matrix."""
+    q, n = space.q, space.n
+    joined = "".join(texts)  # raises TypeError on a non-string word
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    bad = np.flatnonzero(lengths != n)
+    if bad.size:
+        raise ValueError(f"{texts[bad[0]]!r} is not a word of [{q}]^{n}")
+    if not joined.isascii():
+        raise ValueError("code words must be ASCII digit strings")
+    digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
+    digits = digits.reshape(len(texts), n)
+    bad = np.flatnonzero((digits >= q).any(axis=1))  # characters below '0' wrap high
+    if bad.size:
+        raise ValueError(f"{texts[bad[0]]!r} is not a word of [{q}]^{n}")
+    return digits
 
 
 def code_to_dict(code: Code) -> dict:
     sp = code.space
-    return {
-        "q": sp.q,
-        "n": sp.n,
-        "words": [word_to_text(w, sp.q) for w in code.sorted_words()],
-    }
+    if sp.q <= 10:
+        text = (indices_to_digits(sp, code.indices) + ord("0")).tobytes().decode("ascii")
+        words = [text[i * sp.n : (i + 1) * sp.n] for i in range(len(code))]
+    else:
+        words = [word_to_text(w, sp.q) for w in code.sorted_words()]
+    return {"q": sp.q, "n": sp.n, "words": words}
 
 
 def code_from_dict(obj: dict) -> Code:
     space = HammingSpace(obj["q"], obj["n"])
-    return Code.from_words(space, (text_to_word(t, space) for t in obj["words"]))
+    texts = list(obj["words"])
+    if space.q > 10:
+        return Code.from_words(space, (_comma_word(t, space) for t in texts))
+    return Code(space, unique_indices(digits_to_indices(space, _digit_matrix(texts, space))))
 
 
 def dumps_code(code: Code) -> str:

@@ -13,19 +13,19 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .bounds import floor_div_real
-from .codes import Code, DensityValue, density
+from .codes import Code, DensityValue, density, unique_indices
 from .errors import DominationFailure, InfeasibleParamsError
 from .hamming import (
     DEFAULT_ENUMERATION_GUARD,
     HammingSpace,
     Word,
     ball_volume,
+    check_radius,
     enumerate_ball,
     expand_within_radius,
     index_word,
@@ -236,7 +236,7 @@ def direct_sum(a: Code, b: Code) -> Code:
     if a.space.q != b.space.q:
         raise ValueError(f"alphabet mismatch: q={a.space.q} vs q={b.space.q}")
     space = HammingSpace(a.space.q, a.space.n + b.space.n)
-    return Code(space, frozenset(u + v for u in a.words for v in b.words))
+    return Code(space, (a.indices[:, None] * b.space.size + b.indices).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +339,19 @@ def recursive_construct(
         raise ValueError(f"unknown base policy {base_policy!r}; expected one of {BASE_POLICIES}")
     if space.n < 1:
         raise InfeasibleParamsError("requires n >= 1")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_radius(radius)
     if not y > 1:
         raise InfeasibleParamsError("requires y > 1")
     if not x > radius * math.log(y):
         raise InfeasibleParamsError("requires x > R*ln(y) (equivalently exp(-x)*y^R < 1)")
 
+    space.check_indexable()
     q = space.q
     trace = ConstructionTrace(
         q=q, n=space.n, radius=radius, x=x, y=y, base_policy=base_policy, seed=seed
     )
 
-    def base_cover(sub: HammingSpace) -> frozenset:
+    def base_cover(sub: HammingSpace) -> np.ndarray:
         policy = base_policy
         if policy == "trivial":
             raise InfeasibleParamsError(
@@ -366,16 +366,17 @@ def recursive_construct(
             )
             method = "exact" if res.status == "optimal" else "exact-incumbent"
             trace.base = BaseRecord(sub.n, method, len(res.code))
-            return res.code.words
+            return res.code.indices
         words = greedy_ball_cover(sub, radius)
         trace.base = BaseRecord(sub.n, "greedy", len(words))
-        return frozenset(words)
+        return Code.from_words(sub, words).indices
 
-    def build(n: int, depth: int) -> frozenset:
+    def build(n: int, depth: int) -> np.ndarray:
+        """Sorted word indices of a covering code of [q]^n."""
         sub = HammingSpace(q, n)
         if n <= radius:
             trace.base = BaseRecord(n, "trivial", 1)
-            return frozenset({sub.zero})
+            return np.zeros(1, dtype=np.int64)
         r = floor_div_real(n, y)
         if r == 0:
             return base_cover(sub)
@@ -383,17 +384,13 @@ def recursive_construct(
         prefix_space = HammingSpace(q, r_prime)
         graph = hamming_graph_view(prefix_space, radius, guard=guard)
         dom = dominating_partial(graph, x, seed=f"{seed}/{depth}", max_trials=max_trials)
-        k2 = build(r, depth + 1) if dom.N_bar else frozenset()
-        words = set()
-        for v in dom.X:
-            prefix = index_word(prefix_space, v)
-            for suffix in product(range(q), repeat=r):
-                words.add(prefix + suffix)
-        for v in dom.N_bar:
-            prefix = index_word(prefix_space, v)
-            for w2 in k2:
-                words.add(prefix + w2)
-        assert len(words) == len(dom.X) * q**r + len(dom.N_bar) * len(k2)
+        k2 = build(r, depth + 1) if dom.N_bar else np.zeros(0, dtype=np.int64)
+        # word index = prefix index * q^r + suffix index
+        block = q**r
+        x_part = np.array(sorted(dom.X), dtype=np.int64)[:, None] * block + np.arange(block)
+        nbar_part = np.array(sorted(dom.N_bar), dtype=np.int64)[:, None] * block + k2
+        words = unique_indices(np.concatenate((x_part.ravel(), nbar_part.ravel())))
+        assert len(words) == len(dom.X) * block + len(dom.N_bar) * len(k2)
         trace.levels.append(
             TraceLevel(
                 n=n,
@@ -407,7 +404,7 @@ def recursive_construct(
                 k_size=len(words),
             )
         )
-        return frozenset(words)
+        return words
 
     words = build(space.n, 0)
     code = Code(space, words)

@@ -2,8 +2,10 @@
 
 Words are plain tuples of ints drawn from {0, ..., q-1}. A word's index is
 its mixed-radix value with the leftmost symbol most significant, so index
-order coincides with lexicographic order on words. All counts are exact
-Python integers; floats never enter the combinatorics.
+order coincides with lexicographic order on words. Many words at once are
+a (k, n) digit matrix or an int64 index array; the two convert row-wise
+with the same bijection. All counts are exact Python integers; floats
+never enter the combinatorics.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ Word = Tuple[int, ...]
 #: by default. Overridable per call; the guard exists to turn an accidental
 #: week-long enumeration into an immediate error.
 DEFAULT_ENUMERATION_GUARD = 1 << 26
+
+#: Spaces must satisfy q**n < INDEX_LIMIT so that every word index fits in
+#: a signed 64-bit integer.
+INDEX_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,14 @@ class HammingSpace:
             raise ValueError(f"{t!r} is not a word of [{self.q}]^{self.n}")
         return t
 
+    def check_indexable(self) -> None:
+        """Raise SpaceTooLargeError if word indices of this space overflow int64."""
+        if self.size >= INDEX_LIMIT:
+            raise SpaceTooLargeError(
+                f"q^n = {self.q}^{self.n} = {self.size} is too large: word indices "
+                f"must stay below 2^63"
+            )
+
     def check_enumerable(self, limit: int = DEFAULT_ENUMERATION_GUARD) -> None:
         """Raise SpaceTooLargeError if a full scan of this space exceeds ``limit``."""
         if self.size > limit:
@@ -66,14 +80,19 @@ class HammingSpace:
             )
 
 
+def check_radius(radius: int) -> None:
+    """Raise ValueError for a negative covering radius."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
 def ball_volume(space: HammingSpace, radius: int) -> int:
     """Number of words within Hamming distance ``radius`` of any fixed center.
 
     Equals sum_{i=0}^{min(radius,n)} (q-1)^i * C(n, i), computed exactly.
     The count is center-independent because the space is vertex-transitive.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_radius(radius)
     q, n = space.q, space.n
     return sum((q - 1) ** i * math.comb(n, i) for i in range(min(radius, n) + 1))
 
@@ -93,8 +112,7 @@ def enumerate_ball(space: HammingSpace, center: Sequence[int], radius: int) -> I
     ``ball_volume(space, radius)``.
     """
     center = space.require_word(center)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_radius(radius)
     q, n = space.q, space.n
     for k in range(min(radius, n) + 1):
         for positions in combinations(range(n), k):
@@ -132,6 +150,27 @@ def index_word(space: HammingSpace, i: int) -> Word:
     return tuple(reversed(syms))
 
 
+def digits_to_indices(space: HammingSpace, digits: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`word_index` of a (k, n) digit matrix, as int64.
+
+    The digits must already be validated to lie in [0, q).
+    """
+    space.check_indexable()
+    idx = np.zeros(len(digits), dtype=np.int64)
+    for j in range(space.n):
+        idx = idx * space.q + digits[:, j]
+    return idx
+
+
+def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`index_word`: a (k, n) matrix of the smallest unsigned dtype holding q-1."""
+    out = np.empty((len(indices), space.n), dtype=np.min_scalar_type(space.q - 1))
+    rest = np.array(indices, dtype=np.int64)
+    for j in range(space.n - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, space.q)
+    return out
+
+
 def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> np.ndarray:
     """Grow a boolean membership mask over word indices by ``radius`` Hamming steps.
 
@@ -140,9 +179,10 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
     of the radius-``radius`` balls around the original members. Runs as n
     axis-reductions per step on the mask reshaped to a (q, ..., q) grid.
     """
+    check_radius(radius)
     if mask.shape != (space.size,):
         raise ValueError(f"mask must have shape ({space.size},)")
-    if radius <= 0 or space.n == 0:
+    if radius == 0 or space.n == 0:
         return mask.copy()
     grid = mask.reshape((space.q,) * space.n)
     for _ in range(min(radius, space.n)):

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from .codes import Code, DensityValue, density
 from .errors import BudgetExceededError, SpaceTooLargeError
-from .hamming import HammingSpace, ball_volume, index_word
+from .hamming import HammingSpace, ball_volume, check_radius
 
 #: Largest q**n the exact solver accepts by default.
 EXACT_SOLVER_GUARD = 1 << 12
@@ -138,8 +138,7 @@ def minimal_covering_code(
     pass completes, the returned code is the lexicographically smallest
     optimal code under sorted-codeword-sequence order.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_radius(radius)
     try:
         space.check_enumerable(guard)
     except SpaceTooLargeError as exc:
@@ -150,7 +149,7 @@ def minimal_covering_code(
     v_ball = ball_volume(space, radius)
 
     def finish(words_idx: List[int], status: str, canonical: bool, nodes: int) -> SolveResult:
-        code = Code.from_words(space, [index_word(space, i) for i in words_idx])
+        code = Code(space, words_idx)  # every caller passes increasing indices
         return SolveResult(
             optimal_size=len(code),
             code=code,

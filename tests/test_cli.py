@@ -123,6 +123,33 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert status == 2
 
 
+def test_malformed_words_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for words in (["0\u0661\u0660"], ["0a1"], [[0, 0, 1]], [1]):
+        path.write_text(json.dumps({"q": 2, "n": 3, "words": words}))
+        status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1")
+        assert status == 2 and "cannot read" in err, words
+    path.write_text(json.dumps({"q": 12, "n": 2, "words": [5]}))
+    status, _, _ = run(capsys, "verify", "--code", str(path), "--R", "1", "--sampled", "3")
+    assert status == 2
+
+
+def test_negative_radius_exits_three(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": 2, "n": 3, "words": ["000", "111"]}))
+    for extra in ([], ["--sampled", "10"]):
+        status, out, err = run(capsys, "verify", "--code", str(path), "--R", "-1", *extra)
+        assert status == 3 and out == ""
+        assert "radius must be >= 0" in err
+
+
+def test_space_too_large_to_index_exits_three(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"q": 2, "n": 64, "words": ["0" * 64]}))
+    status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1", "--sampled", "3")
+    assert status == 3 and "2^63" in err
+
+
 def test_infeasible_construct_exits_three(tmp_path, capsys):
     status, _, err = run(
         capsys, "construct", "--q", "2", "--n", "8", "--R", "2",

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcover import (
@@ -16,9 +17,17 @@ from qcover import (
     verify_covering_sampled,
     verify_covering_scan,
 )
-from qcover.codes import code_from_dict, code_to_dict, dumps_code, read_code, write_code
+from qcover.codes import (
+    code_from_dict,
+    code_to_dict,
+    coverage_mask,
+    dumps_code,
+    read_code,
+    write_code,
+)
+from qcover.hamming import expand_within_radius
 
-from oracles import brute_is_covering
+from oracles import brute_distance, brute_is_covering
 
 
 def make_code(q, n, words):
@@ -30,10 +39,96 @@ COVER_2_4_1 = [(0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)]
 
 
 def test_code_validation_and_dedup():
-    code = make_code(2, 3, [(0, 0, 0), (0, 0, 0), (1, 1, 1)])
+    code = make_code(2, 3, [(1, 1, 1), (0, 0, 0), (0, 0, 0), (1, 1, 1)])
     assert len(code) == 2
+    assert code.indices.tolist() == [0, 7] and code.indices.dtype == np.int64
+    assert code.sorted_words() == [(0, 0, 0), (1, 1, 1)]
+    assert code == make_code(2, 3, [(0, 0, 0), (1, 1, 1)])
     with pytest.raises(ValueError):
         make_code(2, 3, [(0, 0, 2)])
+    with pytest.raises(ValueError):
+        make_code(2, 3, [(0, 0)])
+    with pytest.raises(ValueError):
+        code.indices[0] = 1  # read-only
+
+
+def test_code_rejects_bad_index_arrays():
+    sp = HammingSpace(2, 3)
+    assert len(Code(sp, [])) == 0
+    assert Code(sp, np.array([1, 6], dtype=np.uint8)).indices.tolist() == [1, 6]
+    for bad in ([0, 8], [-1, 3], [3, 1], [2, 2]):  # out of range, unsorted, duplicate
+        with pytest.raises(ValueError):
+            Code(sp, bad)
+    for bad in (frozenset({(0, 0, 0)}), [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(TypeError):
+            Code(sp, bad)
+
+
+def test_empty_code_and_zero_length_words():
+    empty = code_from_dict({"q": 3, "n": 4, "words": []})
+    assert len(empty) == 0 and empty.words == frozenset()
+    assert code_to_dict(empty) == {"q": 3, "n": 4, "words": []}
+    sp0 = HammingSpace(2, 0)
+    point = code_from_dict({"q": 2, "n": 0, "words": ["", ""]})
+    assert point.sorted_words() == [()] and point.indices.tolist() == [0]
+    assert code_to_dict(point)["words"] == [""]
+    assert verify_covering(point, 0).covered
+    assert not verify_covering(Code(sp0, []), 0).covered
+    assert verify_covering_sampled(point, 0, 3).found_uncovered is False
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["012"],  # symbol out of range for q=2
+        ["01"],  # wrong length
+        ["0a1"],  # non-digit
+        ["0 1"],
+        ["0\u0661\u0660"],  # Arabic-Indic digits, which int() would accept
+        [[0, 1, 0]],  # not a string
+        [7],
+    ],
+)
+def test_code_from_dict_rejects_malformed_words(words):
+    with pytest.raises((ValueError, TypeError)):
+        code_from_dict({"q": 2, "n": 3, "words": ["000"] + words})
+
+
+def test_large_alphabet_rejects_malformed_words():
+    for text in ["1,12", "1", "1,+2", "1, 2", "1,\u0662", "", "1,2,3"]:
+        with pytest.raises(ValueError):
+            code_from_dict({"q": 12, "n": 2, "words": [text]})
+
+
+def test_space_too_large_to_index():
+    edge = HammingSpace(2, 62)  # largest binary space whose indices fit in int64
+    code = Code.from_words(edge, [edge.zero, (1,) * 62])
+    assert code.indices.tolist() == [0, 2**62 - 1]
+    assert code_from_dict(code_to_dict(code)) == code
+    assert not verify_covering_sampled(code, 31, 20, seed=1).found_uncovered
+    for sp in (HammingSpace(2, 63), HammingSpace(3, 40)):
+        with pytest.raises(SpaceTooLargeError):
+            Code.from_words(sp, [sp.zero])
+        with pytest.raises(SpaceTooLargeError):
+            Code(sp, [0])
+        with pytest.raises(SpaceTooLargeError):
+            code_from_dict({"q": sp.q, "n": sp.n, "words": ["0" * sp.n]})
+
+
+def test_negative_radius_rejected_everywhere():
+    code = make_code(2, 3, [(0, 0, 0)])
+    mask = np.zeros(8, dtype=bool)
+    calls = [
+        lambda: verify_covering(code, -1),
+        lambda: verify_covering(code, -1, method="scan"),
+        lambda: verify_covering_scan(code, -1),
+        lambda: verify_covering_sampled(code, -1, 5),
+        lambda: coverage_mask(code, -1),
+        lambda: expand_within_radius(code.space, mask, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            call()
 
 
 def test_verify_covering_examples():
@@ -57,9 +152,7 @@ def test_verify_methods_agree_with_scan_oracle():
         code = Code.from_words(sp, words)
         ref = verify_covering_scan(code, radius)
         fast = verify_covering(code, radius, method="expand")
-        bitmap = verify_covering(code, radius, method="ballmark")
         assert (ref.covered, ref.witness) == (fast.covered, fast.witness)
-        assert (ref.covered, ref.witness) == (bitmap.covered, bitmap.witness)
         if sp.size <= 1 << 9:
             assert ref.covered == brute_is_covering(q, n, radius, words)
 
@@ -72,7 +165,7 @@ def test_adding_words_preserves_covering():
     assert base.covered
     for _ in range(10):
         extra = tuple(rng.randrange(2) for _ in range(5))
-        grown = Code(sp, code.words | {extra})
+        grown = Code.from_words(sp, code.words | {extra})
         assert verify_covering(grown, 2).covered
 
 
@@ -90,6 +183,34 @@ def test_sampled_verification():
     assert v.found_uncovered
     covering = make_code(2, 3, [(0, 0, 0), (1, 1, 1)])
     assert not verify_covering_sampled(covering, 1, 100, seed=9).found_uncovered
+
+
+def _sampled_reference(code, radius, samples, seed):
+    """The per-codeword loop verify_covering_sampled must reproduce exactly."""
+    rng = random.Random(f"sampled-verify:{seed}")
+    words = code.sorted_words()
+    for k in range(samples):
+        w = tuple(rng.randrange(code.space.q) for _ in range(code.space.n))
+        if not any(brute_distance(w, c) <= radius for c in words):
+            return True, w, k + 1
+    return False, None, samples
+
+
+def test_sampled_matches_reference_loop():
+    rng = random.Random(37)
+    found = 0
+    for trial in range(40):
+        q = rng.choice([2, 3, 12])
+        n = rng.randint(0, 9)
+        sp = HammingSpace(q, n)
+        radius = rng.randint(0, n)
+        words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, 30))}
+        code = Code.from_words(sp, words)
+        got = verify_covering_sampled(code, radius, 25, seed=trial)
+        want = _sampled_reference(code, radius, 25, trial)
+        assert (got.found_uncovered, got.witness, got.samples) == want
+        found += got.found_uncovered
+    assert 5 < found < 35  # both verdicts were exercised
 
 
 def test_sampled_never_contradicts_exhaustive():

@@ -173,7 +173,7 @@ def test_greedy_beats_best_random_trial():
 def test_greedy_ball_cover_is_covering():
     sp = HammingSpace(2, 6)
     words = greedy_ball_cover(sp, 1)
-    code = Code(sp, words)
+    code = Code.from_words(sp, words)
     assert verify_covering(code, 1).covered
     assert len(words) >= sphere_covering_lower_bound(sp, 1)
 
