@@ -115,14 +115,18 @@ def nested_parametric_bound(p: BoundParams) -> float:
     r1 = p.R1 if p.R1 is not None else 0
     if not 0 <= r1 < p.R:
         raise InfeasibleParamsError(f"requires 0 <= R1 < R, got R1={r1}")
-    mu = p.mu_star
-    if mu is None:
-        mu = 1.0 if r1 == 0 else optimize_parametric_bound(r1).bound
+    mu = p.mu_star if p.mu_star is not None else default_mu_star(r1)
     _require_feasible(p.R, p.x, p.y)
     inv_binom = 1.0 / math.comb(p.R, r1)
     y_pow = p.y**r1
     tail = 1.0 + 1.0 / math.expm1(p.x - p.R * math.log(p.y))
     return p.x * inv_binom * y_pow * _ratio_pow(p.y, p.R - r1) * tail * mu
+
+
+def default_mu_star(R1: int) -> float:
+    """The density charged for an inner radius R1 when none is given: 1 for
+    R1 = 0, otherwise the optimized parametric bound at radius R1."""
+    return 1.0 if R1 == 0 else optimize_parametric_bound(R1).bound
 
 
 def closed_form_bound(R: int) -> float:

@@ -16,6 +16,7 @@ exhausting domination trials.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -147,11 +148,12 @@ def _bounds_eval_values(args: argparse.Namespace) -> dict:
         "parametric_bound": bounds.parametric_bound(p),
     }
     if args.R1 is not None:
+        mu = args.mu if args.mu is not None else bounds.default_mu_star(args.R1)
         values["R1"] = args.R1
-        values["mu_star"] = args.mu if args.mu is not None else (
-            1.0 if args.R1 == 0 else bounds.optimize_parametric_bound(args.R1).bound
+        values["mu_star"] = mu
+        values["nested_parametric_bound"] = bounds.nested_parametric_bound(
+            dataclasses.replace(p, mu_star=mu)
         )
-        values["nested_parametric_bound"] = bounds.nested_parametric_bound(p)
     if args.R >= 6:
         values["closed_form_bound"] = bounds.closed_form_bound(args.R)
     if args.R >= 3:

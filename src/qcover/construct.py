@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import DominationFailure, InfeasibleParamsError
 from .hamming import (
     DEFAULT_ENUMERATION_GUARD,
     HammingSpace,
-    Word,
     ball_volume,
     check_radius,
     enumerate_ball,
@@ -31,10 +29,10 @@ from .hamming import (
     index_word,
     word_index,
 )
-from .solver import minimal_covering_code
+from .solver import _ball_masks, _greedy_cover, minimal_covering_code
 
-#: Greedy full-space ball covers get their own, tighter guard: the eager
-#: scan is quadratic-ish and meant for base cases only.
+#: Greedy full-space ball covers get their own, tighter guard: the ball
+#: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
 GREEDY_COVER_GUARD = 1 << 14
 
 
@@ -202,33 +200,14 @@ def greedy_ball_cover(
 ) -> frozenset:
     """Greedy max-coverage over radius-``radius`` balls until the space is covered.
 
-    Lazy-greedy: stale gains are upper bounds, so a popped candidate whose
-    recomputed gain still tops the heap is a true argmax.
+    The solver's lazy-greedy cover over bitmask balls: stale gains are upper
+    bounds, so a popped candidate whose recomputed gain still tops the heap
+    is a true argmax; ties go to the smallest word index.
     """
     space.check_enumerable(guard)
-    m = space.size
     v_ball = ball_volume(space, radius)
-    uncovered = set(range(m))
-    balls: dict = {}
-    heap = [(-v_ball, i) for i in range(m)]
-    heapify(heap)
-    chosen: List[Word] = []
-    while uncovered:
-        neg_stale, cand = heappop(heap)
-        ball = balls.get(cand)
-        if ball is None:
-            w = index_word(space, cand)
-            ball = [word_index(space, u) for u in enumerate_ball(space, w, radius)]
-            balls[cand] = ball
-        gain = sum(1 for i in ball if i in uncovered)
-        if gain == 0:
-            continue
-        if heap and gain < -heap[0][0]:
-            heappush(heap, (-gain, cand))
-            continue
-        chosen.append(index_word(space, cand))
-        uncovered.difference_update(ball)
-    return frozenset(chosen)
+    chosen = _greedy_cover(_ball_masks(space, radius), (1 << space.size) - 1, v_ball)
+    return frozenset(index_word(space, i) for i in chosen)
 
 
 def direct_sum(a: Code, b: Code) -> Code:

@@ -6,6 +6,13 @@ word in the code up front: translating any cover moves a codeword onto the
 zero word without changing its size, so an optimum through the zero word
 always exists. A second pass canonicalizes the answer to the
 lexicographically smallest optimal code.
+
+A node is one candidate codeword tried, in either pass, whether it is then
+pruned or branched on; the zero word at the root is the first. Because a
+node is a step of the search and not a function call, ``nodes`` depends
+only on the search tree and its visit order. Each child is counted and
+tested against the counting bound in its parent's loop, so the pruned
+leaves, nearly all nodes, cost no call.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .codes import Code, DensityValue, density
 from .errors import BudgetExceededError, SpaceTooLargeError
@@ -68,32 +75,28 @@ class _BudgetHit(Exception):
 
 
 def _ball_masks(space: HammingSpace, radius: int) -> List[int]:
-    """Bitmask over word indices of the radius-``radius`` ball of every word."""
+    """Bitmask over word indices of the radius-``radius`` ball of every word.
+
+    Each step widens every ball by one. The words that differ from a word
+    only in coordinate j form a line of q words, and the union of their
+    balls is the same for every word on the line, so it is formed once.
+    """
     q, n, m = space.q, space.n, space.size
     masks = [1 << i for i in range(m)]
-    if n == 0 or radius == 0:
-        return masks
-    powers = [q ** (n - 1 - j) for j in range(n)]
-    adj: List[List[int]] = []
-    for i in range(m):
-        nbrs = []
-        for j in range(n):
-            digit = (i // powers[j]) % q
-            stripped = i - digit * powers[j]
-            for s in range(q):
-                if s != digit:
-                    nbrs.append(stripped + s * powers[j])
-        adj.append(nbrs)
     for _ in range(min(radius, n)):
-        masks = [masks[i] | _or_all(masks, adj[i]) for i in range(m)]
+        grown = [0] * m
+        for j in range(n):
+            stride = q ** (n - 1 - j)
+            for block in range(0, m, q * stride):
+                for lo in range(block, block + stride):
+                    line = range(lo, lo + q * stride, stride)
+                    acc = 0
+                    for i in line:
+                        acc |= masks[i]
+                    for i in line:
+                        grown[i] |= acc
+        masks = grown
     return masks
-
-
-def _or_all(masks: List[int], ids: List[int]) -> int:
-    acc = 0
-    for i in ids:
-        acc |= masks[i]
-    return acc
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -107,20 +110,20 @@ def _mask_bits(mask: int) -> List[int]:
 
 def _greedy_cover(masks: List[int], full: int, v_ball: int) -> List[int]:
     """Lazy-greedy cover over the precomputed ball masks (initial incumbent)."""
-    covered = 0
+    uncovered = full
     heap = [(-v_ball, i) for i in range(len(masks))]
     heapify(heap)
     chosen: List[int] = []
-    while covered != full:
+    while uncovered:
         _, cand = heappop(heap)
-        gain = (masks[cand] & ~covered & full).bit_count()
+        gain = (masks[cand] & uncovered).bit_count()
         if gain == 0:
             continue
         if heap and gain < -heap[0][0]:
             heappush(heap, (-gain, cand))
             continue
         chosen.append(cand)
-        covered |= masks[cand]
+        uncovered &= ~masks[cand]
     return chosen
 
 
@@ -139,6 +142,10 @@ def minimal_covering_code(
     optimal code under sorted-codeword-sequence order.
     """
     check_radius(radius)
+    if node_budget is not None and not node_budget >= 0:
+        raise ValueError(f"requires node_budget >= 0, got {node_budget!r}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"requires time_budget >= 0, got {time_budget!r}")
     try:
         space.check_enumerable(guard)
     except SpaceTooLargeError as exc:
@@ -171,54 +178,80 @@ def minimal_covering_code(
     full = (1 << m) - 1
     deadline = None if time_budget is None else start + time_budget
 
-    state = {"nodes": 0, "best_size": 0, "best": []}
-    incumbent = sorted(_greedy_cover(masks, full, v_ball))
-    state["best_size"] = len(incumbent)
-    state["best"] = incumbent
+    best = sorted(_greedy_cover(masks, full, v_ball))
+    best_size = len(best)
+    nodes = 0
+    # Budgets are checked when ``nodes`` reaches ``checkpoint``: one past the
+    # node budget, or the next multiple of 256 while a deadline is set.
 
-    members: Dict[int, List[int]] = {}
+    def next_checkpoint() -> int:
+        at = sys.maxsize if deadline is None else (nodes // 256 + 1) * 256
+        return at if node_budget is None else min(at, node_budget + 1)
 
-    def ball_members(w: int) -> List[int]:
-        got = members.get(w)
+    checkpoint = next_checkpoint()
+
+    def check_budgets() -> None:
+        nonlocal checkpoint
+        if node_budget is not None and nodes > node_budget:
+            raise _BudgetHit
+        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+            raise _BudgetHit
+        checkpoint = next_checkpoint()
+
+    members: List[Optional[List[int]]] = [None] * m
+
+    def branch_words(covered: int) -> List[int]:
+        """The words whose balls hold the smallest uncovered word."""
+        uncovered = full ^ covered
+        w = (uncovered & -uncovered).bit_length() - 1
+        got = members[w]
         if got is None:
-            got = _mask_bits(masks[w])
-            members[w] = got
+            got = members[w] = _mask_bits(masks[w])
         return got
 
-    def tick() -> None:
-        state["nodes"] += 1
-        if node_budget is not None and state["nodes"] > node_budget:
-            raise _BudgetHit
-        if deadline is not None and state["nodes"] % 256 == 0 and time.monotonic() > deadline:
-            raise _BudgetHit
+    # A child c is counted and tested in its parent's loop. With
+    # nc = covered | masks[c], the child passes the counting bound
+    # size + ceil(uncovered / V) < best_size exactly when nc.bit_count()
+    # reaches ``need``; only passing children that leave words uncovered
+    # are recursed into.
+    chosen = [0]
 
-    def dfs(covered: int, chosen: List[int]) -> None:
-        tick()
-        if covered == full:
-            if len(chosen) < state["best_size"]:
-                state["best_size"] = len(chosen)
-                state["best"] = sorted(chosen)
-            return
-        uncovered = full & ~covered
-        lower = len(chosen) + -(-uncovered.bit_count() // v_ball)
-        if lower >= state["best_size"]:
-            return
-        w = (uncovered & -uncovered).bit_length() - 1
-        for c in ball_members(w):
-            dfs(covered | masks[c], chosen + [c])
+    def dfs(covered: int) -> None:
+        nonlocal nodes, best_size, best
+        depth = len(chosen) + 1  # the children's code size
+        need = m - (best_size - depth - 1) * v_ball
+        for c in branch_words(covered):
+            nodes += 1
+            if nodes >= checkpoint:
+                check_budgets()
+            nc = covered | masks[c]
+            got = nc.bit_count()
+            if got < need:
+                continue
+            if got == m:  # a cover smaller than the incumbent
+                best_size = depth
+                best = sorted(chosen + [c])
+            else:
+                chosen.append(c)
+                dfs(nc)
+                chosen.pop()
+            need = m - (best_size - depth - 1) * v_ball
 
     def feasible(covered: int, k: int, min_excl: int) -> bool:
-        tick()
-        if covered == full:
-            return True
-        if k <= 0:
-            return False
-        uncovered = full & ~covered
-        if -(-uncovered.bit_count() // v_ball) > k:
-            return False
-        w = (uncovered & -uncovered).bit_length() - 1
-        for c in ball_members(w):
-            if c > min_excl and feasible(covered | masks[c], k - 1, min_excl):
+        """Can k more codewords above ``min_excl`` complete the cover?"""
+        nonlocal nodes
+        need = m - (k - 1) * v_ball
+        for c in branch_words(covered):
+            if c <= min_excl:
+                continue
+            nodes += 1
+            if nodes >= checkpoint:
+                check_budgets()
+            nc = covered | masks[c]
+            got = nc.bit_count()
+            if got == m:
+                return True
+            if got >= need and feasible(nc, k - 1, min_excl):
                 return True
         return False
 
@@ -226,26 +259,36 @@ def minimal_covering_code(
     sys.setrecursionlimit(max(old_limit, m + 1000))
     try:
         try:
-            dfs(masks[0], [0])
+            # the root, the zero word, is a node like any other
+            nodes += 1
+            if nodes >= checkpoint:
+                check_budgets()
+            if masks[0].bit_count() >= m - (best_size - 2) * v_ball:
+                dfs(masks[0])
         except _BudgetHit:
-            return finish(state["best"], "budget_exceeded", False, state["nodes"])
+            return finish(best, "budget_exceeded", False, nodes)
 
         # Canonicalization: grow the lexicographically smallest optimal code.
         # The lex-min optimum starts with the zero word, because some optimum
         # contains it and any code containing it sorts before any code that
         # does not.
-        target = state["best_size"]
+        target = best_size
         prefix = [0]
         covered = masks[0]
         try:
             while covered != full:
                 remaining = target - len(prefix) - 1
+                need = m - remaining * v_ball
                 appended = False
                 for v in range(prefix[-1] + 1, m):
                     grown = covered | masks[v]
                     if grown == covered:
                         continue  # optimal codes have no redundant codeword
-                    if feasible(grown, remaining, v):
+                    nodes += 1
+                    if nodes >= checkpoint:
+                        check_budgets()
+                    got = grown.bit_count()
+                    if got == m or (got >= need and feasible(grown, remaining, v)):
                         prefix.append(v)
                         covered = grown
                         appended = True
@@ -253,8 +296,8 @@ def minimal_covering_code(
                 if not appended:  # cannot happen once optimality is proven
                     raise RuntimeError("canonicalization found no extension")
         except _BudgetHit:
-            return finish(state["best"], "optimal", False, state["nodes"])
-        return finish(prefix, "optimal", True, state["nodes"])
+            return finish(best, "optimal", False, nodes)
+        return finish(prefix, "optimal", True, nodes)
     finally:
         sys.setrecursionlimit(old_limit)
 

@@ -1,14 +1,23 @@
 """Independent oracles the library is checked against.
 
-Everything here recomputes results from first principles (exhaustive
+Most of these recompute results from first principles (exhaustive
 enumeration, high-precision arithmetic) without touching the code paths
-under test.
+under test. The set-based greedy cover and the reference solver keep the
+earlier, plainer forms of two library algorithms, so their fast forms can
+be checked against them choice for choice and node for node.
 """
 
 import math
+import sys
+import time
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 import mpmath as mp
+
+from qcover.codes import Code, density
+from qcover.hamming import ball_volume, check_radius, enumerate_ball, index_word, word_index
+from qcover.solver import SolveResult, _greedy_cover
 
 mp.mp.dps = 40
 
@@ -89,6 +98,159 @@ def naive_minimal_size(q, n, radius):
             if acc == full:
                 return size
     raise AssertionError("unreachable: the whole space always covers")
+
+
+def set_greedy_ball_cover(space, radius):
+    """Lazy-greedy ball cover over Python sets of word indices.
+
+    Same heap and tie-breaks as the library's bitmask cover, but every ball
+    is enumerated word by word, so the two must choose the same words.
+    """
+    m = space.size
+    v_ball = ball_volume(space, radius)
+    uncovered = set(range(m))
+    balls = {}
+    heap = [(-v_ball, i) for i in range(m)]
+    heapify(heap)
+    chosen = []
+    while uncovered:
+        neg_stale, cand = heappop(heap)
+        ball = balls.get(cand)
+        if ball is None:
+            w = index_word(space, cand)
+            ball = [word_index(space, u) for u in enumerate_ball(space, w, radius)]
+            balls[cand] = ball
+        gain = sum(1 for i in ball if i in uncovered)
+        if gain == 0:
+            continue
+        if heap and gain < -heap[0][0]:
+            heappush(heap, (-gain, cand))
+            continue
+        chosen.append(index_word(space, cand))
+        uncovered.difference_update(ball)
+    return frozenset(chosen)
+
+
+class _BudgetHit(Exception):
+    pass
+
+
+def reference_minimal_covering_code(space, radius, *, time_budget=None, node_budget=None):
+    """The exact solver as one recursive call per node, for node-for-node checks.
+
+    Each node is counted by ``tick`` on entry and pruned by its own first
+    lines. Ball masks come from the brute-force :func:`ball_masks`; only the
+    greedy incumbent is shared with the library, so the search, its node
+    count and its budget stops are checked independently.
+    """
+    check_radius(radius)
+    start = time.monotonic()
+    m = space.size
+    v_ball = ball_volume(space, radius)
+
+    def finish(words_idx, status, canonical, nodes):
+        code = Code(space, words_idx)
+        return SolveResult(
+            optimal_size=len(code),
+            code=code,
+            density=density(code, radius),
+            status=status,
+            canonical=canonical,
+            nodes=nodes,
+            elapsed=time.monotonic() - start,
+        )
+
+    if v_ball >= m:
+        return finish([0], "optimal", True, 0)
+    if radius == 0:
+        return finish(list(range(m)), "optimal", True, 0)
+
+    _, masks = ball_masks(space.q, space.n, radius)
+    full = (1 << m) - 1
+    deadline = None if time_budget is None else start + time_budget
+
+    state = {"nodes": 0, "best_size": 0, "best": []}
+    incumbent = sorted(_greedy_cover(masks, full, v_ball))
+    state["best_size"] = len(incumbent)
+    state["best"] = incumbent
+
+    members = {}
+
+    def ball_members(w):
+        got = members.get(w)
+        if got is None:
+            got = [i for i in range(m) if masks[w] >> i & 1]
+            members[w] = got
+        return got
+
+    def tick():
+        state["nodes"] += 1
+        if node_budget is not None and state["nodes"] > node_budget:
+            raise _BudgetHit
+        if deadline is not None and state["nodes"] % 256 == 0 and time.monotonic() > deadline:
+            raise _BudgetHit
+
+    def dfs(covered, chosen):
+        tick()
+        if covered == full:
+            if len(chosen) < state["best_size"]:
+                state["best_size"] = len(chosen)
+                state["best"] = sorted(chosen)
+            return
+        uncovered = full & ~covered
+        lower = len(chosen) + -(-uncovered.bit_count() // v_ball)
+        if lower >= state["best_size"]:
+            return
+        w = (uncovered & -uncovered).bit_length() - 1
+        for c in ball_members(w):
+            dfs(covered | masks[c], chosen + [c])
+
+    def feasible(covered, k, min_excl):
+        tick()
+        if covered == full:
+            return True
+        if k <= 0:
+            return False
+        uncovered = full & ~covered
+        if -(-uncovered.bit_count() // v_ball) > k:
+            return False
+        w = (uncovered & -uncovered).bit_length() - 1
+        for c in ball_members(w):
+            if c > min_excl and feasible(covered | masks[c], k - 1, min_excl):
+                return True
+        return False
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, m + 1000))
+    try:
+        try:
+            dfs(masks[0], [0])
+        except _BudgetHit:
+            return finish(state["best"], "budget_exceeded", False, state["nodes"])
+
+        target = state["best_size"]
+        prefix = [0]
+        covered = masks[0]
+        try:
+            while covered != full:
+                remaining = target - len(prefix) - 1
+                appended = False
+                for v in range(prefix[-1] + 1, m):
+                    grown = covered | masks[v]
+                    if grown == covered:
+                        continue
+                    if feasible(grown, remaining, v):
+                        prefix.append(v)
+                        covered = grown
+                        appended = True
+                        break
+                if not appended:
+                    raise RuntimeError("canonicalization found no extension")
+        except _BudgetHit:
+            return finish(state["best"], "optimal", False, state["nodes"])
+        return finish(prefix, "optimal", True, state["nodes"])
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def mp_parametric_bound(R, x, y):

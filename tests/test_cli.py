@@ -209,6 +209,39 @@ def test_bounds_eval_nested_and_text_format(capsys):
     assert abs(float(line.split("=")[1]) - (8.0 / 3.0) * math.log(16)) < 1e-12
 
 
+def test_bounds_eval_default_mu_optimizes_once(capsys, monkeypatch):
+    import qcover.bounds as bounds
+
+    status, before, _ = run(capsys, "bounds", "eval", "--R", "4", "--x", "6",
+                            "--y", "2", "--R1", "1")
+    assert status == 0
+    calls = []
+    original = bounds.optimize_parametric_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "optimize_parametric_bound", counting)
+    status, out, _ = run(capsys, "bounds", "eval", "--R", "4", "--x", "6",
+                         "--y", "2", "--R1", "1")
+    assert status == 0 and out == before
+    assert calls == [(1,)]
+    obj = json.loads(out)
+    assert obj["mu_star"] == original(1).bound
+    assert obj["nested_parametric_bound"] == bounds.nested_parametric_bound(
+        bounds.BoundParams(R=4, x=6.0, y=2.0, R1=1))
+
+
+def test_solve_rejects_bad_budgets_exit_three(capsys):
+    for flag, value in [("--time-budget", "nan"), ("--time-budget", "-1"),
+                        ("--node-budget", "-1")]:
+        status, out, err = run(capsys, "solve", "--q", "2", "--n", "4", "--R", "1",
+                               flag, value)
+        assert status == 3, (flag, value)
+        assert "budget >= 0" in err and out == ""
+
+
 def test_bounds_eval_infeasible_exits_three(capsys):
     status, _, err = run(capsys, "bounds", "eval", "--R", "2", "--x", "1.0", "--y", "3")
     assert status == 3 and "x > R*ln(y)" in err

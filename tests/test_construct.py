@@ -26,6 +26,7 @@ from qcover import (
     verify_covering,
 )
 from qcover.bounds import floor_div_real
+from oracles import set_greedy_ball_cover
 from qcover.construct import (
     domination_size_cap,
     domination_threshold,
@@ -176,6 +177,15 @@ def test_greedy_ball_cover_is_covering():
     code = Code.from_words(sp, words)
     assert verify_covering(code, 1).covered
     assert len(words) >= sphere_covering_lower_bound(sp, 1)
+
+
+@pytest.mark.parametrize("q,n,radius", [
+    (2, 3, 1), (2, 5, 0), (2, 6, 1), (2, 7, 2), (2, 8, 3), (2, 10, 3),
+    (3, 4, 1), (3, 4, 4), (4, 3, 1), (5, 3, 2), (7, 3, 2), (16, 2, 1),
+])
+def test_greedy_ball_cover_matches_set_based_loop(q, n, radius):
+    sp = HammingSpace(q, n)
+    assert greedy_ball_cover(sp, radius) == set_greedy_ball_cover(sp, radius)
 
 
 def test_floor_div_real_matches_exact_arithmetic():

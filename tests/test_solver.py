@@ -1,5 +1,6 @@
 """Exact solver against the naive subset-enumeration oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from qcover import (
     verify_covering,
 )
 
-from oracles import naive_lex_min_code, naive_minimal_size
+from oracles import naive_lex_min_code, naive_minimal_size, reference_minimal_covering_code
 
 KNOWN_OPTIMA = [
     (2, 3, 1, 2),
@@ -63,13 +64,32 @@ def test_canonical_code_matches_unrestricted_lex_oracle():
         assert res.code.sorted_words() == want, (q, n, radius)
 
 
+NAIVE_CASES = [(2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 2, 1), (2, 4, 2),
+               (2, 5, 2), (2, 6, 2), (3, 3, 1), (2, 3, 2), (2, 2, 1), (2, 6, 3)]
+
+
 def test_matches_naive_oracle_on_small_spaces():
-    cases = [(2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 2, 1), (2, 4, 2),
-             (2, 5, 2), (2, 6, 2), (3, 3, 1), (2, 3, 2), (2, 2, 1), (2, 6, 3)]
-    for q, n, radius in cases:
+    for q, n, radius in NAIVE_CASES:
         assert q**n <= 1 << 9
         got = minimal_covering_code(HammingSpace(q, n), radius).optimal_size
         assert got == naive_minimal_size(q, n, radius), (q, n, radius)
+
+
+@pytest.mark.parametrize("q,n,radius", NAIVE_CASES + [
+    (2, 1, 1), (3, 4, 1), (3, 4, 2), (4, 3, 1), (2, 7, 1), (2, 8, 3)])
+def test_matches_reference_solver_node_for_node(q, n, radius):
+    # The same tree in the same order: answers, node counts and the
+    # incumbent at every node budget equal those of one call per node.
+    # Where the greedy incumbent is already optimal, only a pruned root
+    # keeps the node counts equal.
+    sp = HammingSpace(q, n)
+    full = minimal_covering_code(sp, radius)
+    assert full.to_json_dict() == reference_minimal_covering_code(sp, radius).to_json_dict()
+    nodes = full.nodes
+    for budget in sorted({0, 1, 2, 5, 17, 50, nodes // 3, max(nodes - 1, 0), nodes}):
+        got = minimal_covering_code(sp, radius, node_budget=budget)
+        want = reference_minimal_covering_code(sp, radius, node_budget=budget)
+        assert got.to_json_dict() == want.to_json_dict(), (q, n, radius, budget)
 
 
 def test_translation_preserves_covering():
@@ -121,6 +141,29 @@ def test_budget_exceeded_returns_covering_incumbent():
     assert not res.canonical
     assert verify_covering(res.code, 1).covered
     assert res.optimal_size >= sphere_covering_lower_bound(HammingSpace(2, 9), 1)
+
+
+def test_zero_time_budget_returns_covering_incumbent():
+    sp = HammingSpace(2, 9)
+    res = minimal_covering_code(sp, 1, time_budget=0)
+    assert res.status == "budget_exceeded"
+    assert res.nodes % 256 == 0  # the deadline is read every 256 nodes
+    assert verify_covering(res.code, 1).covered
+
+
+@pytest.mark.parametrize("budgets", [
+    {"node_budget": -1}, {"time_budget": -0.5}, {"time_budget": math.nan},
+    {"time_budget": -math.inf}])
+def test_rejects_negative_or_nan_budgets(budgets):
+    with pytest.raises(ValueError, match="budget >= 0"):
+        minimal_covering_code(HammingSpace(2, 4), 1, **budgets)
+
+
+def test_accepts_zero_and_infinite_budgets():
+    sp = HammingSpace(2, 4)
+    assert minimal_covering_code(sp, 1, time_budget=math.inf).status == "optimal"
+    res = minimal_covering_code(sp, 1, node_budget=0, time_budget=0.0)
+    assert res.status == "budget_exceeded" and res.nodes == 1
 
 
 def test_guard_rejects_large_spaces():
