@@ -31,25 +31,16 @@ from .codes import (
     sphere_covering_lower_bound,
     verify_covering,
     verify_covering_sampled,
-    verify_covering_scan,
     write_code,
 )
 from .construct import (
     ConstructionTrace,
     DominationResult,
-    RegularGraphView,
-    complete_graph_view,
-    direct_sum,
     dominating_partial,
-    empty_graph_view,
     greedy_ball_cover,
-    greedy_dominating_partial,
-    hamming_graph_view,
-    nbar_of,
     recursive_construct,
 )
 from .errors import (
-    BudgetExceededError,
     DominationFailure,
     InfeasibleParamsError,
     SpaceTooLargeError,
@@ -59,12 +50,11 @@ from .hamming import (
     HammingSpace,
     Word,
     ball_volume,
-    enumerate_ball,
     enumerate_space,
     hamming_distance,
     index_word,
     word_index,
 )
-from .solver import EXACT_SOLVER_GUARD, SolveResult, minimal_covering_code, minimal_density
+from .solver import EXACT_SOLVER_GUARD, SolveResult, minimal_covering_code
 
 __version__ = "0.1.0"

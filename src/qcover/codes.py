@@ -1,9 +1,8 @@
 """Covering codes: membership, covering verification, exact density, file I/O.
 
 A code is a sorted array of distinct word indices in one Hamming space.
-Exhaustive covering verification offers two routes: a vectorized layered
-expansion (default) and the per-word brute-force scan kept as the
-independent oracle for tests. Sampled verification spot-checks random words
+Exhaustive covering verification runs the vectorized radius-expansion
+kernel over the whole space. Sampled verification spot-checks random words
 on spaces too large to enumerate.
 """
 
@@ -25,9 +24,7 @@ from .hamming import (
     ball_volume,
     check_radius,
     digits_to_indices,
-    enumerate_space,
     expand_within_radius,
-    hamming_distance,
     index_word,
     indices_to_digits,
 )
@@ -152,46 +149,15 @@ def coverage_mask(code: Code, radius: int) -> np.ndarray:
 
 
 def verify_covering(
-    code: Code,
-    radius: int,
-    *,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
-    method: str = "expand",
-) -> CoverVerdict:
-    """Exhaustively decide whether every word is within ``radius`` of the code.
-
-    ``method`` selects the verification route: "expand" (vectorized layered
-    expansion, default) or "scan" (per-word brute force, the test oracle).
-    Both produce the identical verdict.
-    """
-    sp = code.space
-    sp.check_enumerable(guard)
-    if method == "scan":
-        return verify_covering_scan(code, radius, guard=guard)
-    if method == "expand":
-        holes = np.flatnonzero(~coverage_mask(code, radius))
-        if holes.size == 0:
-            return CoverVerdict(True)
-        return CoverVerdict(False, index_word(sp, int(holes[0])))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def verify_covering_scan(
     code: Code, radius: int, *, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> CoverVerdict:
-    """Brute-force oracle: test every word against every codeword.
-
-    Costs q^n * |K| distance computations; kept as the independent baseline
-    the faster routes are checked against.
-    """
-    check_radius(radius)
+    """Exhaustively decide whether every word is within ``radius`` of the code."""
     sp = code.space
     sp.check_enumerable(guard)
-    words = code.sorted_words()
-    for w in enumerate_space(sp, guard):
-        if not any(hamming_distance(w, c) <= radius for c in words):
-            return CoverVerdict(False, w)
-    return CoverVerdict(True)
+    holes = np.flatnonzero(~coverage_mask(code, radius))
+    if holes.size == 0:
+        return CoverVerdict(True)
+    return CoverVerdict(False, index_word(sp, int(holes[0])))
 
 
 def verify_covering_sampled(

@@ -1,8 +1,9 @@
 """Covering-code constructions.
 
-Direct sums, randomized partial dominating sets on regular graphs (with a
-deterministic greedy fallback), and the recursive construction that splits
-[q]^n into a dominated prefix block and a recursively covered suffix block.
+Randomized partial dominating sets on the distance-<=R graph of a Hamming
+space, the lazy-greedy ball cover for base cases, and the recursive
+construction that splits [q]^n into a dominated prefix block and a
+recursively covered suffix block.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,10 +25,7 @@ from .hamming import (
     HammingSpace,
     ball_volume,
     check_radius,
-    enumerate_ball,
     expand_within_radius,
-    index_word,
-    word_index,
 )
 from .solver import _ball_masks, _greedy_cover, minimal_covering_code
 
@@ -37,167 +35,79 @@ GREEDY_COVER_GUARD = 1 << 14
 
 
 @dataclass(frozen=True)
-class RegularGraphView:
-    """A d-regular graph exposed as vertex count, degree, and a neighbor stream.
-
-    ``cover_mask``, when provided, must return a boolean numpy array over
-    vertex ids marking X together with its neighborhood; it exists so large
-    vertex sets can be dominated without a per-vertex Python loop.
-    """
-
-    m: int
-    d: int
-    neighbors: Callable[[int], Iterable[int]]
-    cover_mask: Optional[Callable[[Iterable[int]], np.ndarray]] = None
-
-
-def complete_graph_view(m: int) -> RegularGraphView:
-    return RegularGraphView(m, m - 1, lambda v: (u for u in range(m) if u != v))
-
-
-def empty_graph_view(m: int) -> RegularGraphView:
-    return RegularGraphView(m, 0, lambda v: iter(()))
-
-
-def hamming_graph_view(
-    space: HammingSpace, radius: int, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> RegularGraphView:
-    """View [q]^n as the graph joining words at Hamming distance 1..radius.
-
-    The graph is regular of degree V_q(n, radius) - 1.
-    """
-    space.check_enumerable(guard)
-    d = ball_volume(space, radius) - 1
-
-    def neighbors(v: int) -> Iterable[int]:
-        w = index_word(space, v)
-        for u in enumerate_ball(space, w, radius):
-            iu = word_index(space, u)
-            if iu != v:
-                yield iu
-
-    def cover_mask(vertices: Iterable[int]) -> np.ndarray:
-        mask = np.zeros(space.size, dtype=bool)
-        ids = list(vertices)
-        if ids:
-            mask[ids] = True
-        return expand_within_radius(space, mask, radius)
-
-    return RegularGraphView(space.size, d, neighbors, cover_mask)
-
-
-@dataclass(frozen=True)
 class DominationResult:
-    """A vertex set X with the vertices its closed neighborhood misses."""
+    """A word set X with the words its radius-R balls miss, as word indices."""
 
     X: frozenset
     N_bar: frozenset
-    x_used: float
     trials_used: int
 
 
-def nbar_of(graph: RegularGraphView, X: Iterable[int]) -> frozenset:
-    """Recompute V(G) minus (X and its neighborhood) from the neighbor stream.
-
-    Deliberately ignores ``cover_mask`` so it can serve as the independent
-    cross-check on results produced through the fast path.
-    """
-    covered = set(X)
-    for v in list(covered):
-        covered.update(graph.neighbors(v))
-    return frozenset(v for v in range(graph.m) if v not in covered)
-
-
-def _uncovered_by(graph: RegularGraphView, X: List[int]) -> frozenset:
-    if graph.cover_mask is not None:
-        mask = graph.cover_mask(X)
-        return frozenset(int(v) for v in np.flatnonzero(~mask))
-    return nbar_of(graph, X)
-
-
-def domination_size_cap(graph: RegularGraphView, x: float) -> int:
+def domination_size_cap(m: int, d: int, x: float) -> int:
     """floor(x*m/(d+1)), the size budget the sampler must stay within."""
-    return min(int(math.floor(x * graph.m / (graph.d + 1))), graph.m)
+    return min(int(math.floor(x * m / (d + 1))), m)
 
 
-def domination_threshold(graph: RegularGraphView, x: float) -> int:
+def domination_threshold(m: int, d: int, x: float) -> int:
     """ceil(exp(-x + (d+1)/m) * m), the miss count a trial must not exceed."""
-    return math.ceil(math.exp(-x + (graph.d + 1) / graph.m) * graph.m)
+    return math.ceil(math.exp(-x + (d + 1) / m) * m)
 
 
 def dominating_partial(
-    graph: RegularGraphView,
+    space: HammingSpace,
+    radius: int,
     x: float,
     seed=0,
     max_trials: int = 100,
+    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> DominationResult:
-    """Sample fixed-size vertex subsets until one dominates all but few vertices.
+    """Sample fixed-size word sets until one's radius balls miss few words of [q]^n.
 
-    Accepts the first subset of size floor(x*m/(d+1)) whose closed
-    neighborhood misses at most ceil(exp(-x + (d+1)/m) * m) vertices. The
-    expectation of the miss count under a uniform random subset is below the
-    threshold, so trials succeed with constant probability; a run of
-    ``max_trials`` misses raises DominationFailure carrying the best attempt.
-    Deterministic for a fixed seed (per-trial generators are derived from
-    ``seed`` and the trial index).
+    This dominates the graph joining words at Hamming distance 1..radius,
+    which has m = q^n vertices and degree d = V_q(n, radius) - 1. Accepts
+    the first set of size floor(x*m/(d+1)) whose balls miss at most
+    ceil(exp(-x + (d+1)/m) * m) words. The expectation of the miss count
+    under a uniform random set is below the threshold, so trials succeed
+    with constant probability; a run of ``max_trials`` misses raises
+    DominationFailure. Deterministic for a fixed seed (per-trial generators
+    are derived from ``seed`` and the trial index).
     """
+    space.check_enumerable(guard)
+    m = space.size
+    d = ball_volume(space, radius) - 1
     if x <= 0:
         raise InfeasibleParamsError("requires x > 0")
     if max_trials < 1:
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
-    m = graph.m
-    size = domination_size_cap(graph, x)
-    threshold = domination_threshold(graph, x)
+    size = domination_size_cap(m, d, x)
+    threshold = domination_threshold(m, d, x)
     if size == 0:
         if threshold < m:
             raise InfeasibleParamsError(
                 "requires floor(x*m/(d+1)) >= 1 or x <= (d+1)/m; "
                 f"a size-0 set cannot miss at most {threshold} of {m} vertices"
             )
-        return DominationResult(frozenset(), frozenset(range(m)), x, 0)
+        return DominationResult(frozenset(), frozenset(range(m)), 0)
 
-    best: Optional[DominationResult] = None
+    best_miss = m
     for trial in range(max_trials):
         rng = random.Random(f"dominate:{seed}:{trial}")
-        X = sorted(rng.sample(range(m), size))
-        n_bar = _uncovered_by(graph, X)
+        X = rng.sample(range(m), size)
+        mask = np.zeros(m, dtype=bool)
+        mask[X] = True
+        n_bar = np.flatnonzero(~expand_within_radius(space, mask, radius))
         if len(n_bar) <= threshold:
-            return DominationResult(frozenset(X), n_bar, x, trial + 1)
-        if best is None or len(n_bar) < len(best.N_bar):
-            best = DominationResult(frozenset(X), n_bar, x, trial + 1)
+            return DominationResult(frozenset(X), frozenset(n_bar.tolist()), trial + 1)
+        best_miss = min(best_miss, len(n_bar))
     raise DominationFailure(
         f"no trial out of {max_trials} met |N_bar| <= {threshold} "
-        f"(best attempt missed {len(best.N_bar)})",
-        best=best,
+        f"(best attempt missed {best_miss})"
     )
-
-
-def greedy_dominating_partial(graph: RegularGraphView, size_budget: int) -> DominationResult:
-    """Deterministic fallback: repeatedly take the vertex covering the most
-    still-uncovered vertices (closed neighborhood), ties to the smallest id."""
-    if size_budget < 0:
-        raise ValueError(f"size_budget must be >= 0, got {size_budget}")
-    m = graph.m
-    uncovered = set(range(m))
-    chosen: List[int] = []
-    for _ in range(min(size_budget, m)):
-        if not uncovered:
-            break
-        best_gain, best_v = -1, -1
-        for v in range(m):
-            gain = (v in uncovered) + sum(1 for u in graph.neighbors(v) if u in uncovered)
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        chosen.append(best_v)
-        uncovered.discard(best_v)
-        uncovered.difference_update(graph.neighbors(best_v))
-    x_equiv = size_budget * (graph.d + 1) / m
-    return DominationResult(frozenset(chosen), frozenset(uncovered), x_equiv, 0)
 
 
 def greedy_ball_cover(
     space: HammingSpace, radius: int, guard: int = GREEDY_COVER_GUARD
-) -> frozenset:
+) -> Code:
     """Greedy max-coverage over radius-``radius`` balls until the space is covered.
 
     The solver's lazy-greedy cover over bitmask balls: stale gains are upper
@@ -207,15 +117,7 @@ def greedy_ball_cover(
     space.check_enumerable(guard)
     v_ball = ball_volume(space, radius)
     chosen = _greedy_cover(_ball_masks(space, radius), (1 << space.size) - 1, v_ball)
-    return frozenset(index_word(space, i) for i in chosen)
-
-
-def direct_sum(a: Code, b: Code) -> Code:
-    """Concatenation set {(u, v) : u in A, v in B} over [q]^(len(A)+len(B))."""
-    if a.space.q != b.space.q:
-        raise ValueError(f"alphabet mismatch: q={a.space.q} vs q={b.space.q}")
-    space = HammingSpace(a.space.q, a.space.n + b.space.n)
-    return Code(space, (a.indices[:, None] * b.space.size + b.indices).ravel())
+    return Code(space, np.sort(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +248,9 @@ def recursive_construct(
             method = "exact" if res.status == "optimal" else "exact-incumbent"
             trace.base = BaseRecord(sub.n, method, len(res.code))
             return res.code.indices
-        words = greedy_ball_cover(sub, radius)
-        trace.base = BaseRecord(sub.n, "greedy", len(words))
-        return Code.from_words(sub, words).indices
+        cover = greedy_ball_cover(sub, radius)
+        trace.base = BaseRecord(sub.n, "greedy", len(cover))
+        return cover.indices
 
     def build(n: int, depth: int) -> np.ndarray:
         """Sorted word indices of a covering code of [q]^n."""
@@ -361,8 +263,9 @@ def recursive_construct(
             return base_cover(sub)
         r_prime = n - r
         prefix_space = HammingSpace(q, r_prime)
-        graph = hamming_graph_view(prefix_space, radius, guard=guard)
-        dom = dominating_partial(graph, x, seed=f"{seed}/{depth}", max_trials=max_trials)
+        dom = dominating_partial(
+            prefix_space, radius, x, seed=f"{seed}/{depth}", max_trials=max_trials, guard=guard
+        )
         k2 = build(r, depth + 1) if dom.N_bar else np.zeros(0, dtype=np.int64)
         # word index = prefix index * q^r + suffix index
         block = q**r
@@ -375,8 +278,8 @@ def recursive_construct(
                 n=n,
                 r=r,
                 r_prime=r_prime,
-                m=graph.m,
-                d=graph.d,
+                m=prefix_space.size,
+                d=ball_volume(prefix_space, radius) - 1,
                 x_size=len(dom.X),
                 nbar_size=len(dom.N_bar),
                 k2_size=len(k2),

@@ -9,16 +9,8 @@ class InfeasibleParamsError(ValueError):
     """Parameters violate a stated precondition (the message names it)."""
 
 
-class BudgetExceededError(RuntimeError):
-    """An exact computation ran out of its time or node budget."""
-
-
 class DominationFailure(RuntimeError):
     """No sampling trial met the partial-domination thresholds.
 
-    Carries the best attempt so callers can fall back or report it.
+    The message states the threshold and the best attempt's miss count.
     """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

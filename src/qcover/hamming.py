@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import SpaceTooLargeError
 
 Word = Tuple[int, ...]
 
-#: Largest q**n for which full-space scans (verification, graph views) run
+#: Largest q**n for which full-space scans (verification, domination) run
 #: by default. Overridable per call; the guard exists to turn an accidental
 #: week-long enumeration into an immediate error.
 DEFAULT_ENUMERATION_GUARD = 1 << 26
@@ -102,26 +102,6 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     return sum(a != b for a, b in zip(u, v))
-
-
-def enumerate_ball(space: HammingSpace, center: Sequence[int], radius: int) -> Iterator[Word]:
-    """Yield every word within distance ``radius`` of ``center``, each exactly once.
-
-    Generated by choosing the set of changed coordinates and then the
-    replacement symbols, so no seen-set is needed and the total count is
-    ``ball_volume(space, radius)``.
-    """
-    center = space.require_word(center)
-    check_radius(radius)
-    q, n = space.q, space.n
-    for k in range(min(radius, n) + 1):
-        for positions in combinations(range(n), k):
-            for repl in product(range(q - 1), repeat=k):
-                w = list(center)
-                for p, off in zip(positions, repl):
-                    # off in [0, q-2] selects one of the q-1 symbols != center[p]
-                    w[p] = off if off < center[p] else off + 1
-                yield tuple(w)
 
 
 def enumerate_space(space: HammingSpace, limit: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Word]:

@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 from .codes import Code, DensityValue, density
-from .errors import BudgetExceededError, SpaceTooLargeError
+from .errors import SpaceTooLargeError
 from .hamming import HammingSpace, ball_volume, check_radius
 
 #: Largest q**n the exact solver accepts by default.
@@ -301,21 +301,3 @@ def minimal_covering_code(
     finally:
         sys.setrecursionlimit(old_limit)
 
-
-def minimal_density(
-    space: HammingSpace,
-    radius: int,
-    *,
-    time_budget: Optional[float] = None,
-    node_budget: Optional[int] = None,
-    guard: int = EXACT_SOLVER_GUARD,
-) -> DensityValue:
-    """Exact minimal covering density of [q]^n at the given radius."""
-    res = minimal_covering_code(
-        space, radius, time_budget=time_budget, node_budget=node_budget, guard=guard
-    )
-    if res.status != "optimal":
-        raise BudgetExceededError(
-            f"solver stopped at size {res.optimal_size} before proving optimality"
-        )
-    return res.density

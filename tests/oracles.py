@@ -15,8 +15,15 @@ from itertools import combinations, product
 
 import mpmath as mp
 
-from qcover.codes import Code, density
-from qcover.hamming import ball_volume, check_radius, enumerate_ball, index_word, word_index
+from qcover.codes import Code, CoverVerdict, density
+from qcover.hamming import (
+    DEFAULT_ENUMERATION_GUARD,
+    ball_volume,
+    check_radius,
+    enumerate_space,
+    index_word,
+    word_index,
+)
 from qcover.solver import SolveResult, _greedy_cover
 
 mp.mp.dps = 40
@@ -43,6 +50,58 @@ def brute_is_covering(q, n, radius, words):
         if not any(brute_distance(w, c) <= radius for c in words):
             return False
     return True
+
+
+def nbar_of(space, radius, X):
+    """Indices of the words farther than ``radius`` from every word indexed by X.
+
+    Distance is translation-invariant, so the words within ``radius`` of c
+    are c + b (mod q) for the words b of the zero word's ball, which one
+    distance scan of the space finds.
+    """
+    q, n = space.q, space.n
+    words = list(product(range(q), repeat=n))
+    ball = [b for b in words if brute_distance(b, space.zero) <= radius]
+    covered = set()
+    for v in X:
+        c = words[v]
+        covered.update(tuple((s + t) % q for s, t in zip(c, b)) for b in ball)
+    return frozenset(i for i, w in enumerate(words) if w not in covered)
+
+
+def enumerate_ball(space, center, radius):
+    """Yield every word within distance ``radius`` of ``center``, each exactly once.
+
+    Generated by choosing the set of changed coordinates and then the
+    replacement symbols, so no seen-set is needed and the total count is
+    ``ball_volume(space, radius)``.
+    """
+    center = space.require_word(center)
+    check_radius(radius)
+    q, n = space.q, space.n
+    for k in range(min(radius, n) + 1):
+        for positions in combinations(range(n), k):
+            for repl in product(range(q - 1), repeat=k):
+                w = list(center)
+                for p, off in zip(positions, repl):
+                    # off in [0, q-2] selects one of the q-1 symbols != center[p]
+                    w[p] = off if off < center[p] else off + 1
+                yield tuple(w)
+
+
+def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
+    """Test every word against every codeword, as a ``CoverVerdict``.
+
+    Costs q^n * |K| distance computations; the baseline the library's
+    expansion verifier is checked against.
+    """
+    check_radius(radius)
+    sp = code.space
+    words = code.sorted_words()
+    for w in enumerate_space(sp, guard):
+        if not any(brute_distance(w, c) <= radius for c in words):
+            return CoverVerdict(False, w)
+    return CoverVerdict(True)
 
 
 def ball_masks(q, n, radius):

@@ -19,9 +19,7 @@ from qcover import (
     closed_form_bound,
     closed_form_chain_check,
     dominating_partial,
-    hamming_graph_view,
     minimal_covering_code,
-    nbar_of,
     nested_parametric_bound,
     optimize_parametric_bound,
     parametric_bound_factored,
@@ -37,6 +35,7 @@ from oracles import (
     mp_classic_bound,
     mp_closed_form_bound,
     naive_minimal_size,
+    nbar_of,
     sample_feasible_params,
 )
 
@@ -167,15 +166,15 @@ def test_criterion_07_domination_thresholds():
         x = rng.uniform(1.0, 5.0)
         sp = HammingSpace(q, n)
         assert sp.size <= 1 << 14
-        graph = hamming_graph_view(sp, radius)
         try:
-            res = dominating_partial(graph, x, seed=f"c7-{k}", max_trials=100)
+            res = dominating_partial(sp, radius, x, seed=f"c7-{k}", max_trials=100)
         except DominationFailure:
             continue
         successes += 1
-        size_cap = math.floor(x * graph.m / (graph.d + 1))
-        miss_cap = math.ceil(math.exp(-x + (graph.d + 1) / graph.m) * graph.m)
-        independent = nbar_of(graph, res.X)
+        m, d = sp.size, ball_volume(sp, radius) - 1
+        size_cap = math.floor(x * m / (d + 1))
+        miss_cap = math.ceil(math.exp(-x + (d + 1) / m) * m)
+        independent = nbar_of(sp, radius, res.X)
         if len(res.X) > size_cap or len(res.N_bar) > miss_cap or independent != res.N_bar:
             violations.append((q, n, radius, x, k))
     elapsed = time.perf_counter() - start

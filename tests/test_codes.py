@@ -15,7 +15,6 @@ from qcover import (
     sphere_covering_lower_bound,
     verify_covering,
     verify_covering_sampled,
-    verify_covering_scan,
 )
 from qcover.codes import (
     code_from_dict,
@@ -27,7 +26,7 @@ from qcover.codes import (
 )
 from qcover.hamming import expand_within_radius
 
-from oracles import brute_distance, brute_is_covering
+from oracles import brute_distance, brute_is_covering, verify_covering_scan
 
 
 def make_code(q, n, words):
@@ -120,7 +119,6 @@ def test_negative_radius_rejected_everywhere():
     mask = np.zeros(8, dtype=bool)
     calls = [
         lambda: verify_covering(code, -1),
-        lambda: verify_covering(code, -1, method="scan"),
         lambda: verify_covering_scan(code, -1),
         lambda: verify_covering_sampled(code, -1, 5),
         lambda: coverage_mask(code, -1),
@@ -151,7 +149,7 @@ def test_verify_methods_agree_with_scan_oracle():
         words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(size)}
         code = Code.from_words(sp, words)
         ref = verify_covering_scan(code, radius)
-        fast = verify_covering(code, radius, method="expand")
+        fast = verify_covering(code, radius)
         assert (ref.covered, ref.witness) == (fast.covered, fast.witness)
         if sp.size <= 1 << 9:
             assert ref.covered == brute_is_covering(q, n, radius, words)

@@ -1,4 +1,4 @@
-"""Direct sums, partial domination, and the recursive construction."""
+"""Partial domination, the greedy ball cover, and the recursive construction."""
 
 import math
 import random
@@ -6,177 +6,105 @@ import random
 import pytest
 
 from qcover import (
-    Code,
     DominationFailure,
     HammingSpace,
     InfeasibleParamsError,
-    RegularGraphView,
     ball_volume,
-    complete_graph_view,
-    direct_sum,
     dominating_partial,
-    empty_graph_view,
     greedy_ball_cover,
-    greedy_dominating_partial,
-    hamming_graph_view,
-    index_word,
-    nbar_of,
     recursive_construct,
     sphere_covering_lower_bound,
     verify_covering,
 )
 from qcover.bounds import floor_div_real
-from oracles import set_greedy_ball_cover
 from qcover.construct import (
     domination_size_cap,
     domination_threshold,
     dumps_trace,
 )
 
-from oracles import brute_distance
-
-
-def two_cliques_view(half: int) -> RegularGraphView:
-    """Two disjoint complete graphs on `half` vertices each (still regular)."""
-    m = 2 * half
-
-    def neighbors(v):
-        lo = 0 if v < half else half
-        return (u for u in range(lo, lo + half) if u != v)
-
-    return RegularGraphView(m, half - 1, neighbors)
-
-
-def test_direct_sum_examples():
-    a = Code.from_words(HammingSpace(2, 1), [(0,)])
-    b = Code.from_words(HammingSpace(2, 2), [(0, 1), (1, 0)])
-    assert direct_sum(a, b).words == {(0, 0, 1), (0, 1, 0)}
-    a2 = Code.from_words(HammingSpace(3, 1), [(0,), (1,)])
-    b3 = Code.from_words(HammingSpace(3, 2), [(0, 0), (1, 1), (2, 2)])
-    assert len(direct_sum(a2, b3)) == 6
-    full1 = Code.from_words(HammingSpace(2, 1), [(0,), (1,)])
-    assert direct_sum(full1, full1).words == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    with pytest.raises(ValueError):
-        direct_sum(a, b3)
+from oracles import nbar_of, set_greedy_ball_cover
 
 
 def test_hamming_graph_view_examples():
-    g = hamming_graph_view(HammingSpace(2, 3), 1)
-    assert (g.m, g.d) == (8, 3)
-    g2 = hamming_graph_view(HammingSpace(2, 2), 2)
-    assert (g2.m, g2.d) == (4, 3)  # complete graph
-    g0 = hamming_graph_view(HammingSpace(3, 2), 0)
-    assert (g0.m, g0.d) == (9, 0)
-    assert list(g0.neighbors(4)) == []
-
-
-def test_hamming_graph_neighbors_match_distance():
-    sp = HammingSpace(3, 3)
-    g = hamming_graph_view(sp, 2)
-    for v in (0, 5, 26):
-        got = sorted(g.neighbors(v))
-        want = sorted(
-            u
-            for u in range(sp.size)
-            if u != v and brute_distance(index_word(sp, u), index_word(sp, v)) <= 2
-        )
-        assert got == want
-        assert len(got) == g.d
+    # The distance-<=R graph on [q]^n has m = q^n vertices and degree V - 1.
+    sp = HammingSpace(2, 3)
+    assert (sp.size, ball_volume(sp, 1) - 1) == (8, 3)
+    assert domination_size_cap(8, 3, 2.0) == 4
+    sp2 = HammingSpace(2, 2)
+    assert ball_volume(sp2, 2) - 1 == 3  # complete graph
+    # radius 0 is the empty graph: each chosen word covers only itself
+    sp0 = HammingSpace(3, 2)
+    res = dominating_partial(sp0, 0, 0.5, seed=1)
+    assert len(res.X) == domination_size_cap(9, 0, 0.5) == 4
+    assert res.N_bar == frozenset(range(9)) - res.X
 
 
 def test_dominating_partial_complete_graph():
-    g = complete_graph_view(20)
-    res = dominating_partial(g, 1.5, seed=2)
+    # [20]^1 at radius 1 is the complete graph K_20
+    sp = HammingSpace(20, 1)
+    res = dominating_partial(sp, 1, 1.5, seed=2)
     assert len(res.X) == 1 and res.N_bar == frozenset()
-    assert nbar_of(g, res.X) == frozenset()
+    assert nbar_of(sp, 1, res.X) == frozenset()
 
 
 def test_dominating_partial_empty_graph_vacuous_threshold():
-    g = empty_graph_view(100)
-    res = dominating_partial(g, 0.01, seed=4)
+    # [100]^1 at radius 0 is the empty graph on 100 vertices
+    sp = HammingSpace(100, 1)
+    res = dominating_partial(sp, 0, 0.01, seed=4)
     # size floor(0.01*100/1) = 1; threshold ceil(e^0 * 100) = 100 admits any X
     assert len(res.X) <= 1
     assert len(res.N_bar) <= 100
-    assert res.N_bar == nbar_of(g, res.X)
+    assert res.N_bar == nbar_of(sp, 0, res.X)
 
 
 def test_dominating_partial_size_zero_is_vacuous():
-    g = empty_graph_view(10)
-    res = dominating_partial(g, 0.05, seed=0)
+    res = dominating_partial(HammingSpace(10, 1), 0, 0.05, seed=0)
     assert res.X == frozenset() and res.N_bar == frozenset(range(10))
     assert res.trials_used == 0
 
 
 def test_dominating_partial_hamming_example():
-    g = hamming_graph_view(HammingSpace(2, 8), 1)
-    assert (g.m, g.d) == (256, 8)
-    assert domination_size_cap(g, 3.0) == 85
-    assert domination_threshold(g, 3.0) == 14  # ceil(e^(-3+9/256)*256)
-    res = dominating_partial(g, 3.0, seed=12)
+    sp = HammingSpace(2, 8)
+    m, d = sp.size, ball_volume(sp, 1) - 1
+    assert (m, d) == (256, 8)
+    assert domination_size_cap(m, d, 3.0) == 85
+    assert domination_threshold(m, d, 3.0) == 14  # ceil(e^(-3+9/256)*256)
+    res = dominating_partial(sp, 1, 3.0, seed=12)
     assert len(res.X) <= 85
     assert len(res.N_bar) <= 14
-    assert res.N_bar == nbar_of(g, res.X)  # independent recomputation
+    assert res.N_bar == nbar_of(sp, 1, res.X)  # independent recomputation
 
 
 def test_dominating_partial_deterministic():
-    g = hamming_graph_view(HammingSpace(2, 7), 1)
-    a = dominating_partial(g, 2.0, seed=99)
-    b = dominating_partial(g, 2.0, seed=99)
+    sp = HammingSpace(2, 7)
+    a = dominating_partial(sp, 1, 2.0, seed=99)
+    b = dominating_partial(sp, 1, 2.0, seed=99)
     assert a == b
-    assert dominating_partial(g, 2.0, seed=100) is not None  # other seeds work too
+    assert dominating_partial(sp, 1, 2.0, seed=100) is not None  # other seeds work too
 
 
 def test_dominating_partial_failure_carries_best_attempt():
-    # Both sampled vertices land in one clique under this seed, so the other
-    # clique (6 vertices) exceeds the threshold ceil(e^(-1.4+0.5)*12) = 5.
-    g = two_cliques_view(6)
-    with pytest.raises(DominationFailure) as info:
-        dominating_partial(g, 1.4, seed=0, max_trials=1)
-    best = info.value.best
-    assert best is not None and len(best.N_bar) == 6
-    assert best.N_bar == nbar_of(g, best.X)
+    # The one trial's 9 words miss 28 of [2]^6 at radius 1, over the
+    # threshold ceil(e^(-1+7/64)*64) = 27.
+    sp = HammingSpace(2, 6)
+    with pytest.raises(DominationFailure, match=r"<= 27 \(best attempt missed 28\)"):
+        dominating_partial(sp, 1, 1.0, seed=1, max_trials=1)
+    X = random.Random("dominate:1:0").sample(range(64), 9)
+    assert len(nbar_of(sp, 1, X)) == 28
+    assert dominating_partial(sp, 1, 1.0, seed=1).trials_used > 1
 
 
 def test_dominating_partial_rejects_nonpositive_x():
     with pytest.raises(InfeasibleParamsError):
-        dominating_partial(complete_graph_view(4), 0.0)
-
-
-def test_greedy_dominating_examples():
-    assert greedy_dominating_partial(complete_graph_view(9), 1).N_bar == frozenset()
-    res = greedy_dominating_partial(empty_graph_view(10), 4)
-    assert len(res.N_bar) == 10 - 4
-    g = hamming_graph_view(HammingSpace(2, 4), 1)
-    assert greedy_dominating_partial(g, 4).N_bar == frozenset()
-
-
-def test_greedy_ties_break_to_smallest_vertex():
-    res = greedy_dominating_partial(empty_graph_view(5), 3)
-    assert res.X == frozenset({0, 1, 2})
-
-
-def test_greedy_beats_best_random_trial():
-    rng = random.Random(77)
-    for k in range(20):
-        q = rng.choice([2, 3])
-        n = rng.randint(3, 6)
-        radius = rng.randint(1, 2)
-        g = hamming_graph_view(HammingSpace(q, n), radius)
-        budget = rng.randint(1, max(1, g.m // (g.d + 1) + 2))
-        greedy_missed = len(greedy_dominating_partial(g, budget).N_bar)
-        best_random = min(
-            len(nbar_of(g, random.Random(f"rnd:{k}:{t}").sample(range(g.m), budget)))
-            for t in range(20)
-        )
-        assert greedy_missed <= best_random
+        dominating_partial(HammingSpace(4, 1), 1, 0.0)
 
 
 def test_greedy_ball_cover_is_covering():
     sp = HammingSpace(2, 6)
-    words = greedy_ball_cover(sp, 1)
-    code = Code.from_words(sp, words)
+    code = greedy_ball_cover(sp, 1)
     assert verify_covering(code, 1).covered
-    assert len(words) >= sphere_covering_lower_bound(sp, 1)
+    assert len(code) >= sphere_covering_lower_bound(sp, 1)
 
 
 @pytest.mark.parametrize("q,n,radius", [
@@ -185,7 +113,7 @@ def test_greedy_ball_cover_is_covering():
 ])
 def test_greedy_ball_cover_matches_set_based_loop(q, n, radius):
     sp = HammingSpace(q, n)
-    assert greedy_ball_cover(sp, radius) == set_greedy_ball_cover(sp, radius)
+    assert greedy_ball_cover(sp, radius).words == set_greedy_ball_cover(sp, radius)
 
 
 def test_floor_div_real_matches_exact_arithmetic():

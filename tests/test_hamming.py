@@ -9,14 +9,13 @@ from qcover import (
     HammingSpace,
     SpaceTooLargeError,
     ball_volume,
-    enumerate_ball,
     enumerate_space,
     hamming_distance,
     index_word,
     word_index,
 )
 
-from oracles import brute_ball_count, brute_distance
+from oracles import brute_ball_count, brute_distance, enumerate_ball
 
 
 def test_space_validation():

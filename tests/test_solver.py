@@ -7,14 +7,12 @@ from fractions import Fraction
 import pytest
 
 from qcover import (
-    BudgetExceededError,
     Code,
     HammingSpace,
     SpaceTooLargeError,
     density,
     greedy_ball_cover,
     minimal_covering_code,
-    minimal_density,
     sphere_covering_lower_bound,
     verify_covering,
 )
@@ -175,11 +173,12 @@ def test_guard_rejects_large_spaces():
 
 
 def test_minimal_density_values():
-    assert minimal_density(HammingSpace(2, 3), 1).exact == 1
-    assert minimal_density(HammingSpace(3, 4), 4).exact == 1  # radius = n
-    assert minimal_density(HammingSpace(2, 5), 1).exact == Fraction(21, 16)
-    with pytest.raises(BudgetExceededError):
-        minimal_density(HammingSpace(2, 9), 1, node_budget=50)
+    for q, n, radius, want in [(2, 3, 1, 1), (3, 4, 4, 1), (2, 5, 1, Fraction(21, 16))]:
+        res = minimal_covering_code(HammingSpace(q, n), radius)  # (3, 4, 4): radius = n
+        assert res.status == "optimal" and res.density.exact == want
+    # an unproved incumbent's density is not the minimal density
+    res = minimal_covering_code(HammingSpace(2, 9), 1, node_budget=50)
+    assert res.status == "budget_exceeded"
 
 
 def test_solver_density_matches_code():
