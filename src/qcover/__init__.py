@@ -50,7 +50,6 @@ from .hamming import (
     HammingSpace,
     Word,
     ball_volume,
-    enumerate_space,
     hamming_distance,
     index_word,
     word_index,

@@ -25,8 +25,8 @@ from typing import List, Optional
 from . import bounds
 from .codes import (
     Code,
-    code_from_dict,
     dumps_code,
+    read_code,
     verify_covering,
     verify_covering_sampled,
     word_to_text,
@@ -54,10 +54,7 @@ def _fmt(v: float) -> str:
 
 def _read_code_file(path: str) -> Code:
     try:
-        obj = json.loads(Path(path).read_text())
-        if "words" not in obj and isinstance(obj.get("code"), dict):
-            obj = obj["code"]  # accept solver-result files wrapping a code
-        return code_from_dict(obj)
+        return read_code(path)
     except SpaceTooLargeError:
         raise  # a well-formed file over a space too large to index: exit 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -253,4 +253,8 @@ def write_code(code: Code, path) -> None:
 
 
 def read_code(path) -> Code:
-    return code_from_dict(json.loads(Path(path).read_text()))
+    """Read a code file, or the code inside a ``solve --out`` result file."""
+    obj = json.loads(Path(path).read_text())
+    if isinstance(obj, dict) and "words" not in obj and isinstance(obj.get("code"), dict):
+        obj = obj["code"]
+    return code_from_dict(obj)

@@ -20,18 +20,16 @@ import numpy as np
 from .bounds import floor_div_real
 from .codes import Code, DensityValue, density, unique_indices
 from .errors import DominationFailure, InfeasibleParamsError
-from .hamming import (
-    DEFAULT_ENUMERATION_GUARD,
-    HammingSpace,
-    ball_volume,
-    check_radius,
-    expand_within_radius,
-)
-from .solver import _ball_masks, _greedy_cover, minimal_covering_code
+from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
+from .solver import EXACT_SOLVER_GUARD, _ball_masks, _greedy_cover, minimal_covering_code
 
 #: Greedy full-space ball covers get their own, tighter guard: the ball
 #: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
 GREEDY_COVER_GUARD = 1 << 14
+
+#: Node budget of an exact base-case solve; past it the construction keeps
+#: the solver's incumbent and records the base as "exact-incumbent".
+EXACT_BASE_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ def dominating_partial(
     x: float,
     seed=0,
     max_trials: int = 100,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> DominationResult:
     """Sample fixed-size word sets until one's radius balls miss few words of [q]^n.
 
@@ -72,7 +69,7 @@ def dominating_partial(
     DominationFailure. Deterministic for a fixed seed (per-trial generators
     are derived from ``seed`` and the trial index).
     """
-    space.check_enumerable(guard)
+    space.check_enumerable()
     m = space.size
     d = ball_volume(space, radius) - 1
     if x <= 0:
@@ -105,16 +102,14 @@ def dominating_partial(
     )
 
 
-def greedy_ball_cover(
-    space: HammingSpace, radius: int, guard: int = GREEDY_COVER_GUARD
-) -> Code:
+def greedy_ball_cover(space: HammingSpace, radius: int) -> Code:
     """Greedy max-coverage over radius-``radius`` balls until the space is covered.
 
     The solver's lazy-greedy cover over bitmask balls: stale gains are upper
     bounds, so a popped candidate whose recomputed gain still tops the heap
     is a true argmax; ties go to the smallest word index.
     """
-    space.check_enumerable(guard)
+    space.check_enumerable(GREEDY_COVER_GUARD)
     v_ball = ball_volume(space, radius)
     chosen = _greedy_cover(_ball_masks(space, radius), (1 << space.size) - 1, v_ball)
     return Code(space, np.sort(chosen))
@@ -196,11 +191,6 @@ def recursive_construct(
     y: float,
     base_policy: str = "auto",
     seed=0,
-    *,
-    max_trials: int = 100,
-    exact_budget: int = 1 << 12,
-    exact_node_budget: int = 200_000,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> Tuple[Code, ConstructionTrace]:
     """Build a radius-``radius`` covering code of [q]^n recursively.
 
@@ -211,8 +201,9 @@ def recursive_construct(
     part; all other prefixes are missed, so their words are covered through
     the suffix code. The recursion bottoms out at n <= radius (single zero
     word) or r = 0, where ``base_policy`` decides between an exact solve and
-    a greedy ball cover ("auto" picks by space size; "trivial" insists on
-    the zero-word case and errors if the recursion stops early).
+    a greedy ball cover ("auto" solves exactly up to q^r = EXACT_SOLVER_GUARD,
+    within EXACT_BASE_NODE_BUDGET nodes; "trivial" insists on the zero-word
+    case and errors if the recursion stops early).
 
     Requires x > radius * ln(y) with y > 1. Deterministic for a fixed seed.
     """
@@ -240,11 +231,9 @@ def recursive_construct(
                 "choose y <= n so the recursion can continue, or a solving policy"
             )
         if policy == "auto":
-            policy = "exact" if sub.size <= exact_budget else "greedy"
+            policy = "exact" if sub.size <= EXACT_SOLVER_GUARD else "greedy"
         if policy == "exact":
-            res = minimal_covering_code(
-                sub, radius, node_budget=exact_node_budget, guard=exact_budget
-            )
+            res = minimal_covering_code(sub, radius, node_budget=EXACT_BASE_NODE_BUDGET)
             method = "exact" if res.status == "optimal" else "exact-incumbent"
             trace.base = BaseRecord(sub.n, method, len(res.code))
             return res.code.indices
@@ -263,9 +252,7 @@ def recursive_construct(
             return base_cover(sub)
         r_prime = n - r
         prefix_space = HammingSpace(q, r_prime)
-        dom = dominating_partial(
-            prefix_space, radius, x, seed=f"{seed}/{depth}", max_trials=max_trials, guard=guard
-        )
+        dom = dominating_partial(prefix_space, radius, x, seed=f"{seed}/{depth}")
         k2 = build(r, depth + 1) if dom.N_bar else np.zeros(0, dtype=np.int64)
         # word index = prefix index * q^r + suffix index
         block = q**r

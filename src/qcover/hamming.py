@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -104,12 +103,6 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(u, v))
 
 
-def enumerate_space(space: HammingSpace, limit: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Word]:
-    """Yield all words of the space in lexicographic order (guarded)."""
-    space.check_enumerable(limit)
-    return product(range(space.q), repeat=space.n)
-
-
 def word_index(space: HammingSpace, w: Sequence[int]) -> int:
     """Mixed-radix index of a word; inverse of :func:`index_word`."""
     w = space.require_word(w)
@@ -152,22 +145,25 @@ def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
 
 
 def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> np.ndarray:
-    """Grow a boolean membership mask over word indices by ``radius`` Hamming steps.
+    """Grow membership masks over word indices by ``radius`` Hamming steps.
 
-    One step adds every word differing from a current member in exactly one
-    coordinate (any replacement symbol), so ``radius`` steps mark the union
-    of the radius-``radius`` balls around the original members. Runs as n
-    axis-reductions per step on the mask reshaped to a (q, ..., q) grid.
+    ``mask`` has shape (q^n, *payload): a boolean array, or an unsigned
+    integer array whose payload bits are independent masks (the solver packs
+    one bit per word). One step ORs each word's value into every word
+    differing from it in exactly one coordinate (any replacement symbol), so
+    ``radius`` steps mark the union of the radius-``radius`` balls around the
+    original members, bit by bit. Runs as n OR-reductions per step on the
+    mask reshaped to a (q, ..., q, *payload) grid.
     """
     check_radius(radius)
-    if mask.shape != (space.size,):
-        raise ValueError(f"mask must have shape ({space.size},)")
+    if mask.shape[:1] != (space.size,):
+        raise ValueError(f"mask must have shape ({space.size}, ...), got {mask.shape}")
     if radius == 0 or space.n == 0:
         return mask.copy()
-    grid = mask.reshape((space.q,) * space.n)
+    grid = mask.reshape((space.q,) * space.n + mask.shape[1:])
     for _ in range(min(radius, space.n)):
         out = grid.copy()
         for axis in range(space.n):
-            out |= grid.any(axis=axis, keepdims=True)
+            out |= np.bitwise_or.reduce(grid, axis=axis, keepdims=True)
         grid = out
-    return grid.reshape(-1)
+    return grid.reshape(mask.shape)

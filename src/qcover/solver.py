@@ -1,11 +1,16 @@
 """Exact minimum covering codes on tiny spaces via branch-and-bound set cover.
 
-Branches on the lexicographically smallest uncovered word (any cover must
-contain a codeword in its ball) with counting-bound pruning, fixing the zero
-word in the code up front: translating any cover moves a codeword onto the
-zero word without changing its size, so an optimum through the zero word
-always exists. A second pass canonicalizes the answer to the
-lexicographically smallest optimal code.
+Every word's radius-R ball is one big-int bitmask over word indices, built
+by a single call of the library's radius-expansion kernel on a bit-packed
+identity. A lazy-greedy cover over these masks gives the first incumbent;
+a deadline already passed after this set-up returns it with no search.
+
+The search branches on the lexicographically smallest uncovered word (any
+cover must contain a codeword in its ball) with counting-bound pruning,
+fixing the zero word in the code up front: translating any cover moves a
+codeword onto the zero word without changing its size, so an optimum
+through the zero word always exists. A second pass canonicalizes the
+answer to the lexicographically smallest optimal code.
 
 A node is one candidate codeword tried, in either pass, whether it is then
 pruned or branched on; the zero word at the root is the first. Because a
@@ -23,9 +28,11 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
+import numpy as np
+
 from .codes import Code, DensityValue, density
 from .errors import SpaceTooLargeError
-from .hamming import HammingSpace, ball_volume, check_radius
+from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
 
 #: Largest q**n the exact solver accepts by default.
 EXACT_SOLVER_GUARD = 1 << 12
@@ -77,26 +84,16 @@ class _BudgetHit(Exception):
 def _ball_masks(space: HammingSpace, radius: int) -> List[int]:
     """Bitmask over word indices of the radius-``radius`` ball of every word.
 
-    Each step widens every ball by one. The words that differ from a word
-    only in coordinate j form a line of q words, and the union of their
-    balls is the same for every word on the line, so it is formed once.
+    Row i of a packed identity holds bit i alone, in ceil(m/8) little-endian
+    bytes. One call of the expansion kernel grows every row at once, so row
+    i ends up holding the words within ``radius`` of word i.
     """
-    q, n, m = space.q, space.n, space.size
-    masks = [1 << i for i in range(m)]
-    for _ in range(min(radius, n)):
-        grown = [0] * m
-        for j in range(n):
-            stride = q ** (n - 1 - j)
-            for block in range(0, m, q * stride):
-                for lo in range(block, block + stride):
-                    line = range(lo, lo + q * stride, stride)
-                    acc = 0
-                    for i in line:
-                        acc |= masks[i]
-                    for i in line:
-                        grown[i] |= acc
-        masks = grown
-    return masks
+    m = space.size
+    i = np.arange(m)
+    eye = np.zeros((m, (m + 7) // 8), dtype=np.uint8)
+    eye[i, i >> 3] = 1 << (i & 7)
+    balls = expand_within_radius(space, eye, radius)
+    return [int.from_bytes(row.tobytes(), "little") for row in balls]
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -179,6 +176,9 @@ def minimal_covering_code(
     deadline = None if time_budget is None else start + time_budget
 
     best = sorted(_greedy_cover(masks, full, v_ball))
+    # the set-up above grows as m^2 bits; a deadline it used up ends the run
+    if deadline is not None and time.monotonic() > deadline:
+        return finish(best, "budget_exceeded", False, 0)
     best_size = len(best)
     nodes = 0
     # Budgets are checked when ``nodes`` reaches ``checkpoint``: one past the

@@ -20,7 +20,6 @@ from qcover.hamming import (
     DEFAULT_ENUMERATION_GUARD,
     ball_volume,
     check_radius,
-    enumerate_space,
     index_word,
     word_index,
 )
@@ -67,6 +66,12 @@ def nbar_of(space, radius, X):
         c = words[v]
         covered.update(tuple((s + t) % q for s, t in zip(c, b)) for b in ball)
     return frozenset(i for i, w in enumerate(words) if w not in covered)
+
+
+def enumerate_space(space, limit=DEFAULT_ENUMERATION_GUARD):
+    """Yield all words of the space in lexicographic order (guarded)."""
+    space.check_enumerable(limit)
+    return product(range(space.q), repeat=space.n)
 
 
 def enumerate_ball(space, center, radius):

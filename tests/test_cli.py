@@ -3,7 +3,7 @@
 import json
 import math
 
-from qcover import read_code, verify_covering
+from qcover import HammingSpace, minimal_covering_code, read_code, verify_covering
 from qcover.cli import main
 
 
@@ -76,6 +76,7 @@ def test_solve_output_feeds_straight_into_verify(tmp_path, capsys):
     assert status == 0
     status, out, _ = run(capsys, "verify", "--code", str(solved), "--R", "1")
     assert status == 0 and "covered" in out
+    assert read_code(solved) == minimal_covering_code(HammingSpace(2, 5), 1).code
 
 
 def test_verify_uncovered_exits_one(tmp_path, capsys):
@@ -121,6 +122,10 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"q": 2, "n": 3, "words": ["00"]}))  # wrong length
     status, _, _ = run(capsys, "verify", "--code", str(path), "--R", "1")
     assert status == 2
+    for top in ([], "x", 5, None):  # JSON that is not an object
+        path.write_text(json.dumps(top))
+        status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1")
+        assert status == 2 and "cannot read" in err, top
 
 
 def test_malformed_words_exit_two(tmp_path, capsys):

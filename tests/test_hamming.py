@@ -3,19 +3,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcover import (
     HammingSpace,
     SpaceTooLargeError,
     ball_volume,
-    enumerate_space,
     hamming_distance,
     index_word,
     word_index,
 )
+from qcover.hamming import expand_within_radius
 
-from oracles import brute_ball_count, brute_distance, enumerate_ball
+from oracles import brute_ball_count, brute_distance, enumerate_ball, enumerate_space
 
 
 def test_space_validation():
@@ -119,6 +120,31 @@ def test_enumeration_guard():
     with pytest.raises(SpaceTooLargeError):
         enumerate_space(sp)
     sp.check_enumerable(limit=1 << 30)  # explicit override passes
+
+
+def test_expand_payload_bits_expand_independently():
+    rng = np.random.default_rng(3)
+    shapes = [(2, 6, 1), (2, 5, 2), (3, 3, 1), (4, 2, 1), (3, 4, 2), (2, 3, 0), (3, 0, 1)]
+    for q, n, radius in shapes:
+        sp = HammingSpace(q, n)
+        bits = rng.random((sp.size, 2, 8)) < 0.05
+        payload = np.packbits(bits, axis=-1, bitorder="little")[..., 0]  # (q^n, 2) uint8
+        before = payload.copy()
+        got = expand_within_radius(sp, payload, radius)
+        assert np.array_equal(payload, before)
+        assert got.shape == payload.shape and got.dtype == np.uint8
+        got_bits = np.unpackbits(got[..., None], axis=-1, bitorder="little").astype(bool)
+        for j in range(2):
+            for b in range(8):
+                want = expand_within_radius(sp, bits[:, j, b].copy(), radius)
+                assert np.array_equal(got_bits[:, j, b], want), (q, n, radius, j, b)
+
+
+def test_expand_rejects_wrong_leading_length():
+    sp = HammingSpace(2, 3)
+    for shape in [(7,), (9, 2), (), (1, 8)]:
+        with pytest.raises(ValueError, match="mask must have shape"):
+            expand_within_radius(sp, np.zeros(shape, dtype=bool), 1)
 
 
 def test_volume_ratio_approaches_split_limits():

@@ -17,7 +17,14 @@ from qcover import (
     verify_covering,
 )
 
-from oracles import naive_lex_min_code, naive_minimal_size, reference_minimal_covering_code
+from qcover.solver import _ball_masks
+
+from oracles import (
+    ball_masks,
+    naive_lex_min_code,
+    naive_minimal_size,
+    reference_minimal_covering_code,
+)
 
 KNOWN_OPTIMA = [
     (2, 3, 1, 2),
@@ -141,11 +148,20 @@ def test_budget_exceeded_returns_covering_incumbent():
     assert res.optimal_size >= sphere_covering_lower_bound(HammingSpace(2, 9), 1)
 
 
+@pytest.mark.parametrize("q,n,radius", [
+    (q, n, radius)
+    for q in (2, 3, 4, 5) for n in range(5) if q**n <= 256 for radius in range(n + 2)])
+def test_ball_masks_match_brute_force(q, n, radius):
+    assert _ball_masks(HammingSpace(q, n), radius) == ball_masks(q, n, radius)[1]
+
+
 def test_zero_time_budget_returns_covering_incumbent():
     sp = HammingSpace(2, 9)
     res = minimal_covering_code(sp, 1, time_budget=0)
     assert res.status == "budget_exceeded"
     assert res.nodes % 256 == 0  # the deadline is read every 256 nodes
+    assert res.nodes == 0  # ... and once before the search, after the set-up
+    assert not res.canonical
     assert verify_covering(res.code, 1).covered
 
 
@@ -160,8 +176,9 @@ def test_rejects_negative_or_nan_budgets(budgets):
 def test_accepts_zero_and_infinite_budgets():
     sp = HammingSpace(2, 4)
     assert minimal_covering_code(sp, 1, time_budget=math.inf).status == "optimal"
-    res = minimal_covering_code(sp, 1, node_budget=0, time_budget=0.0)
+    res = minimal_covering_code(sp, 1, node_budget=0)
     assert res.status == "budget_exceeded" and res.nodes == 1
+    assert minimal_covering_code(sp, 1, time_budget=0.0).status == "budget_exceeded"
 
 
 def test_guard_rejects_large_spaces():
