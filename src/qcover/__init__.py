@@ -2,9 +2,7 @@
 
 from .bounds import (
     BoundParams,
-    ChainCheckReport,
     OptimizationResult,
-    RecurrenceSpec,
     classic_bound,
     closed_form_bound,
     closed_form_chain_check,
@@ -12,12 +10,6 @@ from .bounds import (
     nested_parametric_bound,
     optimize_parametric_bound,
     parametric_bound,
-    parametric_bound_factored,
-    parametric_bound_geometric,
-    recurrence_depth,
-    recurrence_limit_bound,
-    simulate_recurrence,
-    telescoped_error_bound,
 )
 from .codes import (
     Code,
@@ -31,7 +23,6 @@ from .codes import (
     sphere_covering_lower_bound,
     verify_covering,
     verify_covering_sampled,
-    write_code,
 )
 from .construct import (
     ConstructionTrace,

@@ -4,11 +4,13 @@ The central object is the two-parameter bound
 
     x * (y/(y-1))^R * (1 + 1/(e^x * y^-R - 1)),     valid when e^-x * y^R < 1,
 
-together with its generalization that nests a smaller-radius density, two
+which is the limit a/(1-b) of the construction's density recurrence
+s_n <= a + b * s_floor(n/y), with a = x*(y/(y-1))^R and b = e^-x * y^R.
+Alongside it: its generalization that nests a smaller-radius density, two
 closed forms (the refined R >= 6 bound and the classic benchmark it
-improves on), a numeric check of the inequality chain behind the refined
-form, a nested golden-section optimizer over the feasible (x, y) region, and
-the limit machinery for recurrences s_n <= a_n + b_n * s_floor(n/y).
+improves on), a numeric audit of the inequality chain behind the refined
+form, a nested golden-section optimizer over the feasible (x, y) region,
+and the exact floor(n/y) the recursive construction splits by.
 
 Powers of y/(y-1) are evaluated as exp(R * log1p(1/(y-1))) and the
 feasibility factor through expm1 of x - R*ln(y), which keeps both algebraic
@@ -55,7 +57,8 @@ def feasibility(p: BoundParams) -> float:
     return math.exp(p.R * math.log(p.y) - p.x)
 
 
-def _require_feasible(R: int, x: float, y: float) -> None:
+def require_feasible(R: int, x: float, y: float) -> None:
+    """Raise InfeasibleParamsError unless x > R*ln(y), i.e. the factor t < 1."""
     if not x > R * math.log(y):
         raise InfeasibleParamsError("requires x > R*ln(y) (equivalently exp(-x)*y^R < 1)")
 
@@ -82,21 +85,9 @@ def _bound_geometric(R: int, x: float, y: float) -> float:
     return x * _ratio_pow(y, R) / -math.expm1(R * math.log(y) - x)
 
 
-def parametric_bound_factored(p: BoundParams) -> float:
-    """The bound in its factored form x*(y/(y-1))^R*(1 + 1/(e^x*y^-R - 1))."""
-    _require_feasible(p.R, p.x, p.y)
-    return _bound_factored(p.R, p.x, p.y)
-
-
-def parametric_bound_geometric(p: BoundParams) -> float:
-    """The algebraically identical geometric-series form x*(y/(y-1))^R/(1-t)."""
-    _require_feasible(p.R, p.x, p.y)
-    return _bound_geometric(p.R, p.x, p.y)
-
-
 def parametric_bound(p: BoundParams) -> float:
     """Evaluate the bound both ways, insist they agree, return the factored form."""
-    _require_feasible(p.R, p.x, p.y)
+    require_feasible(p.R, p.x, p.y)
     a = _bound_factored(p.R, p.x, p.y)
     b = _bound_geometric(p.R, p.x, p.y)
     if not math.isclose(a, b, rel_tol=1e-9):
@@ -116,7 +107,7 @@ def nested_parametric_bound(p: BoundParams) -> float:
     if not 0 <= r1 < p.R:
         raise InfeasibleParamsError(f"requires 0 <= R1 < R, got R1={r1}")
     mu = p.mu_star if p.mu_star is not None else default_mu_star(r1)
-    _require_feasible(p.R, p.x, p.y)
+    require_feasible(p.R, p.x, p.y)
     inv_binom = 1.0 / math.comb(p.R, r1)
     y_pow = p.y**r1
     tail = 1.0 + 1.0 / math.expm1(p.x - p.R * math.log(p.y))
@@ -148,73 +139,38 @@ def classic_bound(q: int, R: int) -> float:
     return value if q == 2 else 2.0 * value
 
 
-@dataclass(frozen=True)
-class ChainCheckReport:
-    """Numeric audit of the inequality chain behind the closed-form bound.
+def _chain_params(R: int) -> tuple:
+    """The chain's parameter point (x, y): y = R ln R + 1 and x = R ln y + 2 ln R,
+    chosen so that the feasibility factor t is exactly R^-2."""
+    ln_r = math.log(R)
+    y = R * ln_r + 1.0
+    return R * math.log(y) + 2.0 * ln_r, y
 
-    Steps, in order: the feasibility identity t = R^-2 at the chain's
-    parameter choice ("t"), the pivotal scalar inequality ("i"), the
-    (y/(y-1))^R <= e^(1/ln R) cap ("ii"), and the parametric bound being
-    below the closed form ("iii", only defined for R >= 6). ``failed_step``
-    is the first step that does not hold.
+
+def closed_form_chain_check(R: int) -> Optional[str]:
+    """Audit the inequality chain behind the closed-form bound at one R.
+
+    Returns the first step that fails, or None when the chain holds. Steps,
+    in order: the feasibility identity t = R^-2 at the chain's parameter
+    point ("t"), the pivotal scalar inequality
+    x * (1 + 1/(R^2 - 1)) < R * (ln R + ln ln R + 0.8) ("i"), the
+    (y/(y-1))^R <= e^(1/ln R) cap ("ii"), and the parametric bound at that
+    point being below the closed form ("iii", only claimed for R >= 6).
+    Smaller R (>= 2) are accepted and simply reported.
     """
-
-    R: int
-    holds: bool
-    failed_step: Optional[str]
-    x: float
-    y: float
-    t: float
-    t_expected: float
-    lhs_i: float
-    rhs_i: float
-    ratio_pow: float
-    ratio_pow_cap: float
-    bound_at_params: Optional[float]
-    closed_form: Optional[float]
-
-
-def closed_form_chain_check(R: int) -> ChainCheckReport:
-    """Check the chain at one R. The closed form is only claimed for R >= 6;
-    smaller R (>= 2) are accepted and simply reported."""
     if R < 2:
         raise ValueError(f"requires R >= 2 so that ln ln R and R^2 - 1 behave, got {R}")
     ln_r = math.log(R)
-    y = R * ln_r + 1.0
-    x = R * math.log(y) + 2.0 * ln_r
-    t = math.exp(R * math.log(y) - x)
-    t_expected = 1.0 / (R * R)
-    lhs_i = (R * math.log(R * ln_r + 1.0) + 2.0 * ln_r) * (1.0 + 1.0 / (R * R - 1.0))
-    rhs_i = R * (ln_r + math.log(ln_r) + 0.8)
-    ratio_pow = _ratio_pow(y, R)
-    ratio_pow_cap = math.exp(1.0 / ln_r)
-    bound_at_params = _bound_factored(R, x, y)
-    closed = closed_form_bound(R) if R >= 6 else None
-
-    failed: Optional[str] = None
-    if not math.isclose(t, t_expected, rel_tol=1e-9):
-        failed = "t"
-    elif not lhs_i < rhs_i:
-        failed = "i"
-    elif not ratio_pow <= ratio_pow_cap:
-        failed = "ii"
-    elif closed is not None and not bound_at_params <= closed:
-        failed = "iii"
-    return ChainCheckReport(
-        R=R,
-        holds=failed is None,
-        failed_step=failed,
-        x=x,
-        y=y,
-        t=t,
-        t_expected=t_expected,
-        lhs_i=lhs_i,
-        rhs_i=rhs_i,
-        ratio_pow=ratio_pow,
-        ratio_pow_cap=ratio_pow_cap,
-        bound_at_params=bound_at_params,
-        closed_form=closed,
-    )
+    x, y = _chain_params(R)
+    if not math.isclose(feasibility(BoundParams(R=R, x=x, y=y)), 1.0 / (R * R), rel_tol=1e-9):
+        return "t"
+    if not x * (1.0 + 1.0 / (R * R - 1.0)) < R * (ln_r + math.log(ln_r) + 0.8):
+        return "i"
+    if not _ratio_pow(y, R) <= math.exp(1.0 / ln_r):
+        return "ii"
+    if R >= 6 and not _bound_factored(R, x, y) <= closed_form_bound(R):
+        return "iii"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +258,8 @@ def optimize_parametric_bound(
     add_bracket(u_lo, u_mid)
     add_bracket(u_mid, u_hi)
     if R >= 6:
-        yc = R * math.log(R) + 1.0
+        xc, yc = _chain_params(R)
         if 1.0 < yc < y_hi:
-            xc = R * math.log(yc) + 2.0 * math.log(R)
             candidates.append((_bound_factored(R, xc, yc), xc, yc))
     _, _, y0 = min(candidates)
     u0 = math.log(y0 - 1.0)
@@ -315,96 +270,13 @@ def optimize_parametric_bound(
 
 
 # ---------------------------------------------------------------------------
-# Limit machinery for s_n <= a_n + b_n * s_floor(n/y)
+# Recursion split
 # ---------------------------------------------------------------------------
 
 
 def floor_div_real(n: int, y: float) -> int:
     """Exact floor(n / y) for a positive real y (no double-rounding)."""
     return int(Fraction(n) / Fraction(y))
-
-
-def recurrence_limit_bound(a: float, b: float) -> float:
-    """a / (1 - b): the limsup bound for the recurrence with limits a and b."""
-    if not 0 <= b < 1:
-        raise InfeasibleParamsError(f"requires 0 <= b < 1, got b={b!r}")
-    if a < 0:
-        raise InfeasibleParamsError(f"requires a >= 0, got a={a!r}")
-    return a / (1.0 - b)
-
-
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Sequences a_n, b_n (as rules), the shrink factor y, the seed value for
-    indices below y, and the declared limits a and b.
-
-    The limits constrain limsups only; finite prefixes of a_n or b_n may
-    exceed them (the ratio sequences arising from the recursive construction
-    do, from above), so they are not enforced pointwise here.
-    """
-
-    a_fn: Callable[[int], float]
-    b_fn: Callable[[int], float]
-    y: float
-    s_base: float
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not self.y > 1:
-            raise InfeasibleParamsError(f"requires y > 1, got {self.y!r}")
-        if not 0 <= self.b < 1:
-            raise InfeasibleParamsError(f"requires 0 <= b < 1, got {self.b!r}")
-
-    @classmethod
-    def constant(cls, a: float, b: float, y: float, s_base: float = 0.0) -> "RecurrenceSpec":
-        return cls(a_fn=lambda n: a, b_fn=lambda n: b, y=y, s_base=s_base, a=a, b=b)
-
-
-def simulate_recurrence(spec: RecurrenceSpec, N: int) -> List[float]:
-    """Run s_n = a_n + b_n * s_floor(n/y) at equality (the worst case) up to N.
-
-    Returns a list of length N + 1 whose index n holds s_n (index 0 is nan).
-    Indices whose floor(n/y) is 0 take the seed value s_base.
-    """
-    if N < 1:
-        raise ValueError(f"requires N >= 1, got {N}")
-    s = [math.nan] * (N + 1)
-    for n in range(1, N + 1):
-        k = floor_div_real(n, spec.y)
-        if k == 0:
-            s[n] = spec.s_base
-        else:
-            a_n, b_n = spec.a_fn(n), spec.b_fn(n)
-            if a_n < 0 or b_n < 0:
-                raise ValueError(f"sequences must stay nonnegative, got ({a_n}, {b_n}) at n={n}")
-            s[n] = a_n + b_n * s[k]
-    return s
-
-
-def recurrence_depth(n: int, y: float) -> int:
-    """Number of floor(n/y) applications until the index drops below y."""
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got {n}")
-    if not y > 1:
-        raise InfeasibleParamsError(f"requires y > 1, got {y!r}")
-    depth = 0
-    while True:
-        n = floor_div_real(n, y)
-        if n == 0:
-            return depth
-        depth += 1
-
-
-def telescoped_error_bound(spec: RecurrenceSpec, n: int) -> float:
-    """Worst-case |s_n - a/(1-b)| for constant sequences at equality.
-
-    Unrolling the recurrence telescopes the error geometrically:
-    |s_n - L| = b^k * |s_base - L| <= b^k * (|s_base| + L) with L = a/(1-b)
-    and k the exact recursion depth of n.
-    """
-    limit = recurrence_limit_bound(spec.a, spec.b)
-    return spec.b ** recurrence_depth(n, spec.y) * (abs(spec.s_base) + limit)
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,12 @@ def cmd_bounds_check(args: argparse.Namespace) -> int:
         raise InfeasibleParamsError("requires --R-min >= 2")
     all_hold = True
     for R in range(args.R_min, args.R_max + 1):
-        report = bounds.closed_form_chain_check(R)
-        if report.holds:
+        failed = bounds.closed_form_chain_check(R)
+        if failed is None:
             print(f"R={R}: holds")
         else:
             all_hold = False
-            print(f"R={R}: FAILS at step ({report.failed_step})")
+            print(f"R={R}: FAILS at step ({failed})")
     note = "" if args.R_min >= 6 else " (the closed form is only claimed for R >= 6)"
     print(f"checked R in [{args.R_min}, {args.R_max}]{note}")
     return EXIT_OK if all_hold else EXIT_COUNTEREXAMPLE

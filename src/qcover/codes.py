@@ -43,7 +43,7 @@ class Code:
     ``indices`` is a read-only, strictly increasing int64 array of
     lexicographic word indices (see :func:`~qcover.hamming.word_index`), so
     index order is word order and duplicates cannot occur. Tuples appear only
-    in :meth:`from_words`, :attr:`words` and :meth:`sorted_words`.
+    in :meth:`from_words` and :meth:`sorted_words`.
     """
 
     space: HammingSpace
@@ -83,11 +83,6 @@ class Code:
 
     def __hash__(self) -> int:
         return hash((self.space, self.indices.tobytes()))
-
-    @property
-    def words(self) -> frozenset:
-        """The codewords as a set of tuples."""
-        return frozenset(self.sorted_words())
 
     def sorted_words(self) -> List[Word]:
         """The codewords as tuples in lexicographic order."""
@@ -246,10 +241,6 @@ def code_from_dict(obj: dict) -> Code:
 
 def dumps_code(code: Code) -> str:
     return json.dumps(code_to_dict(code), sort_keys=True, indent=2) + "\n"
-
-
-def write_code(code: Code, path) -> None:
-    Path(path).write_text(dumps_code(code))
 
 
 def read_code(path) -> Code:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import floor_div_real
+from .bounds import floor_div_real, require_feasible
 from .codes import Code, DensityValue, density, unique_indices
 from .errors import DominationFailure, InfeasibleParamsError
 from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
@@ -32,13 +32,22 @@ GREEDY_COVER_GUARD = 1 << 14
 EXACT_BASE_NODE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominationResult:
-    """A word set X with the words its radius-R balls miss, as word indices."""
+    """A word set X with the words its radius-R balls miss.
 
-    X: frozenset
-    N_bar: frozenset
+    ``X`` and ``N_bar`` are sorted, read-only int64 arrays of word indices.
+    """
+
+    X: np.ndarray
+    N_bar: np.ndarray
     trials_used: int
+
+
+def _index_array(indices) -> np.ndarray:
+    idx = np.sort(np.asarray(indices, dtype=np.int64))
+    idx.flags.writeable = False
+    return idx
 
 
 def domination_size_cap(m: int, d: int, x: float) -> int:
@@ -84,7 +93,7 @@ def dominating_partial(
                 "requires floor(x*m/(d+1)) >= 1 or x <= (d+1)/m; "
                 f"a size-0 set cannot miss at most {threshold} of {m} vertices"
             )
-        return DominationResult(frozenset(), frozenset(range(m)), 0)
+        return DominationResult(_index_array([]), _index_array(np.arange(m)), 0)
 
     best_miss = m
     for trial in range(max_trials):
@@ -94,7 +103,7 @@ def dominating_partial(
         mask[X] = True
         n_bar = np.flatnonzero(~expand_within_radius(space, mask, radius))
         if len(n_bar) <= threshold:
-            return DominationResult(frozenset(X), frozenset(n_bar.tolist()), trial + 1)
+            return DominationResult(_index_array(X), _index_array(n_bar), trial + 1)
         best_miss = min(best_miss, len(n_bar))
     raise DominationFailure(
         f"no trial out of {max_trials} met |N_bar| <= {threshold} "
@@ -214,8 +223,7 @@ def recursive_construct(
     check_radius(radius)
     if not y > 1:
         raise InfeasibleParamsError("requires y > 1")
-    if not x > radius * math.log(y):
-        raise InfeasibleParamsError("requires x > R*ln(y) (equivalently exp(-x)*y^R < 1)")
+    require_feasible(radius, x, y)
 
     space.check_indexable()
     q = space.q
@@ -253,11 +261,11 @@ def recursive_construct(
         r_prime = n - r
         prefix_space = HammingSpace(q, r_prime)
         dom = dominating_partial(prefix_space, radius, x, seed=f"{seed}/{depth}")
-        k2 = build(r, depth + 1) if dom.N_bar else np.zeros(0, dtype=np.int64)
+        k2 = build(r, depth + 1) if dom.N_bar.size else np.zeros(0, dtype=np.int64)
         # word index = prefix index * q^r + suffix index
         block = q**r
-        x_part = np.array(sorted(dom.X), dtype=np.int64)[:, None] * block + np.arange(block)
-        nbar_part = np.array(sorted(dom.N_bar), dtype=np.int64)[:, None] * block + k2
+        x_part = dom.X[:, None] * block + np.arange(block)
+        nbar_part = dom.N_bar[:, None] * block + k2
         words = unique_indices(np.concatenate((x_part.ravel(), nbar_part.ravel())))
         assert len(words) == len(dom.X) * block + len(dom.N_bar) * len(k2)
         trace.levels.append(

@@ -48,10 +48,6 @@ class HammingSpace:
         """Exact number of words, q**n."""
         return self.q**self.n
 
-    @property
-    def zero(self) -> Word:
-        return (0,) * self.n
-
     def contains(self, w: Sequence[int]) -> bool:
         return len(w) == self.n and all(0 <= s < self.q for s in w)
 

@@ -10,12 +10,15 @@ be checked against them choice for choice and node for node.
 import math
 import sys
 import time
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from typing import NamedTuple, Optional
 
 import mpmath as mp
 
 from qcover.codes import Code, CoverVerdict, density
+from qcover.errors import InfeasibleParamsError
 from qcover.hamming import (
     DEFAULT_ENUMERATION_GUARD,
     ball_volume,
@@ -60,7 +63,7 @@ def nbar_of(space, radius, X):
     """
     q, n = space.q, space.n
     words = list(product(range(q), repeat=n))
-    ball = [b for b in words if brute_distance(b, space.zero) <= radius]
+    ball = [b for b in words if brute_distance(b, (0,) * n) <= radius]
     covered = set()
     for v in X:
         c = words[v]
@@ -341,6 +344,113 @@ def mp_classic_bound(q, R):
     R = mp.mpf(R)
     v = mp.e * (R * mp.log(R) + mp.log(R) + mp.log(mp.log(R)) + 2)
     return v if q == 2 else 2 * v
+
+
+class MpChain(NamedTuple):
+    """The closed form's inequality chain at 40 digits; see :func:`mp_chain_check`."""
+
+    R: int
+    t: mp.mpf
+    lhs_i: mp.mpf
+    rhs_i: mp.mpf
+    ratio_pow: mp.mpf
+    ratio_pow_cap: mp.mpf
+    bound: mp.mpf
+    closed_form: Optional[mp.mpf]
+
+    @property
+    def failed_step(self):
+        """First step that does not hold, in the order "t", "i", "ii", "iii", or None."""
+        if not mp.almosteq(self.t, mp.mpf(1) / self.R**2, rel_eps=mp.mpf("1e-30")):
+            return "t"
+        if not self.lhs_i < self.rhs_i:
+            return "i"
+        if not self.ratio_pow <= self.ratio_pow_cap:
+            return "ii"
+        if self.closed_form is not None and not self.bound <= self.closed_form:
+            return "iii"
+        return None
+
+
+def mp_chain_check(R):
+    """Each quantity of the closed form's inequality chain, at 40 digits.
+
+    At y = R ln R + 1 and x = R ln y + 2 ln R: the feasibility factor t
+    (R^-2 exactly), both sides of the scalar inequality
+    (R ln(R ln R + 1) + 2 ln R) * (1 + 1/(R^2 - 1)) < R (ln R + ln ln R + 0.8),
+    (y/(y-1))^R and its cap e^(1/ln R), the parametric bound at (x, y), and
+    the closed form (None below R = 6, where it is not claimed).
+    """
+    Rm = mp.mpf(R)
+    ln_r = mp.log(Rm)
+    y = Rm * ln_r + 1
+    x = Rm * mp.log(y) + 2 * ln_r
+    return MpChain(
+        R=R,
+        t=mp.exp(-x) * y**Rm,
+        lhs_i=(Rm * mp.log(Rm * ln_r + 1) + 2 * ln_r) * (1 + 1 / (Rm**2 - 1)),
+        rhs_i=Rm * (ln_r + mp.log(ln_r) + mp.mpf("0.8")),
+        ratio_pow=(y / (y - 1)) ** Rm,
+        ratio_pow_cap=mp.exp(1 / ln_r),
+        bound=mp_parametric_bound(R, x, y),
+        closed_form=mp_closed_form_bound(R) if R >= 6 else None,
+    )
+
+
+def recurrence_limit(a, b):
+    """a / (1 - b): the limit of s_n = a + b * s_floor(n/y) for 0 <= b < 1."""
+    if not 0 <= b < 1:
+        raise InfeasibleParamsError(f"requires 0 <= b < 1, got b={b!r}")
+    if a < 0:
+        raise InfeasibleParamsError(f"requires a >= 0, got a={a!r}")
+    return a / (1.0 - b)
+
+
+def _floor_div(n, y):
+    return int(Fraction(n) / Fraction(y))
+
+
+def simulate_constant_recurrence(a, b, y, s_base, N):
+    """Run s_n = a + b * s_floor(n/y) at equality (the worst case) up to N.
+
+    Returns a list of length N + 1 whose index n holds s_n (index 0 is nan).
+    Indices whose floor(n/y) is 0 take the seed value s_base.
+    """
+    if not y > 1:
+        raise InfeasibleParamsError(f"requires y > 1, got {y!r}")
+    if not 0 <= b < 1:
+        raise InfeasibleParamsError(f"requires 0 <= b < 1, got {b!r}")
+    if N < 1:
+        raise ValueError(f"requires N >= 1, got {N}")
+    s = [math.nan] * (N + 1)
+    for n in range(1, N + 1):
+        k = _floor_div(n, y)
+        s[n] = s_base if k == 0 else a + b * s[k]
+    return s
+
+
+def recurrence_depth(n, y):
+    """Number of floor(n/y) applications until the index drops below y."""
+    if n < 1:
+        raise ValueError(f"requires n >= 1, got {n}")
+    if not y > 1:
+        raise InfeasibleParamsError(f"requires y > 1, got {y!r}")
+    depth = 0
+    while True:
+        n = _floor_div(n, y)
+        if n == 0:
+            return depth
+        depth += 1
+
+
+def telescoped_error_bound(a, b, y, s_base, n):
+    """Worst-case |s_n - a/(1-b)| of the constant recurrence at equality.
+
+    Unrolling the recurrence telescopes the error geometrically:
+    |s_n - L| = b^k * |s_base - L| <= b^k * (|s_base| + L) with L = a/(1-b)
+    and k the exact recursion depth of n.
+    """
+    return b ** recurrence_depth(n, y) * (abs(s_base) + recurrence_limit(a, b))
 
 
 def sample_feasible_params(rng, r_max=500, margin_lo=0.01, margin_hi=20.0):

@@ -13,7 +13,6 @@ from qcover import (
     BoundParams,
     DominationFailure,
     HammingSpace,
-    RecurrenceSpec,
     ball_volume,
     classic_bound,
     closed_form_bound,
@@ -22,21 +21,21 @@ from qcover import (
     minimal_covering_code,
     nested_parametric_bound,
     optimize_parametric_bound,
-    parametric_bound_factored,
-    parametric_bound_geometric,
-    recurrence_limit_bound,
+    parametric_bound,
     recursive_construct,
-    simulate_recurrence,
-    telescoped_error_bound,
     verify_covering,
 )
+from qcover.bounds import _bound_factored, _bound_geometric
 
 from oracles import (
     mp_classic_bound,
     mp_closed_form_bound,
     naive_minimal_size,
     nbar_of,
+    recurrence_limit,
     sample_feasible_params,
+    simulate_constant_recurrence,
+    telescoped_error_bound,
 )
 
 
@@ -63,8 +62,7 @@ def test_criterion_01_formula_identity():
     worst = 0.0
     for _ in range(10_000):
         R, x, y = sample_feasible_params(rng, r_max=500)
-        p = BoundParams(R=R, x=x, y=y)
-        worst = max(worst, rel_err(parametric_bound_factored(p), parametric_bound_geometric(p)))
+        worst = max(worst, rel_err(_bound_factored(R, x, y), _bound_geometric(R, x, y)))
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-12, elapsed, 1.0,
            f"two bound forms agree on 10^4 samples, worst rel diff {worst:.2e}")
@@ -77,7 +75,7 @@ def test_criterion_02_reduction_to_plain_bound():
     for _ in range(1_000):
         R, x, y = sample_feasible_params(rng, r_max=500)
         nested = nested_parametric_bound(BoundParams(R=R, x=x, y=y, R1=0, mu_star=1.0))
-        plain = parametric_bound_factored(BoundParams(R=R, x=x, y=y))
+        plain = parametric_bound(BoundParams(R=R, x=x, y=y))
         worst = max(worst, rel_err(nested, plain))
     elapsed = time.perf_counter() - start
     report(2, worst <= 1e-15, elapsed, 1.0,
@@ -88,11 +86,11 @@ def test_criterion_03_chain_check_full_sweep():
     start = time.perf_counter()
     bad = None
     for R in range(6, 10_001):
-        rep = closed_form_chain_check(R)
-        # rep already includes the t = R^-2 identity and the 0.8-constant
+        failed = closed_form_chain_check(R)
+        # the check includes the t = R^-2 identity and the 0.8-constant
         # scalar inequality as its first two steps
-        if not rep.holds:
-            bad = (R, rep.failed_step)
+        if failed is not None:
+            bad = (R, failed)
             break
     elapsed = time.perf_counter() - start
     report(3, bad is None, elapsed, 10.0,
@@ -120,7 +118,7 @@ def test_criterion_05_optimizer_dominance():
     details = []
     for R in (6, 10, 20, 50, 100):
         x, y = chain_params(R)
-        at_chain = parametric_bound_factored(BoundParams(R=R, x=x, y=y))
+        at_chain = parametric_bound(BoundParams(R=R, x=x, y=y))
         opt = optimize_parametric_bound(R)
         ok = ok and opt.bound <= at_chain and opt.bound <= closed_form_bound(R)
         details.append(f"R={R}:{opt.bound:.2f}<={at_chain:.2f}")
@@ -174,8 +172,12 @@ def test_criterion_07_domination_thresholds():
         m, d = sp.size, ball_volume(sp, radius) - 1
         size_cap = math.floor(x * m / (d + 1))
         miss_cap = math.ceil(math.exp(-x + (d + 1) / m) * m)
-        independent = nbar_of(sp, radius, res.X)
-        if len(res.X) > size_cap or len(res.N_bar) > miss_cap or independent != res.N_bar:
+        independent = nbar_of(sp, radius, res.X.tolist())
+        if (
+            len(res.X) > size_cap
+            or len(res.N_bar) > miss_cap
+            or independent != frozenset(res.N_bar.tolist())
+        ):
             violations.append((q, n, radius, x, k))
     elapsed = time.perf_counter() - start
     report(7, successes >= 95 and not violations, elapsed, 60.0,
@@ -231,11 +233,10 @@ def test_criterion_10_asymptotic_claim_substituted():
     x = R * math.log(y) + 2.0
     a = x * math.exp(R * math.log1p(1.0 / (y - 1.0)))
     b = math.exp(R * math.log(y) - x)
-    spec = RecurrenceSpec.constant(a, b, y, s_base=1.0)
-    limit = recurrence_limit_bound(a, b)
-    s = simulate_recurrence(spec, 4096)
+    limit = recurrence_limit(a, b)
+    s = simulate_constant_recurrence(a, b, y, 1.0, 4096)
     converged = all(
-        abs(s[n] - limit) <= telescoped_error_bound(spec, n) + 1e-9 * (1 + limit)
+        abs(s[n] - limit) <= telescoped_error_bound(a, b, y, 1.0, n) + 1e-9 * (1 + limit)
         for n in (64, 256, 1024, 4096)
     )
     lines = []
@@ -252,8 +253,7 @@ def test_criterion_10_asymptotic_claim_substituted():
 
 def test_criterion_11_recurrence_convergence():
     start = time.perf_counter()
-    spec = RecurrenceSpec.constant(1.0, 0.5, 2.0, s_base=0.0)
-    s = simulate_recurrence(spec, 2**10)
+    s = simulate_constant_recurrence(1.0, 0.5, 2.0, 0.0, 2**10)
     ok = abs(s[2**10] - 2.0) <= 2.0**-9
     rng = random.Random("criterion-11")
     for _ in range(20):
@@ -261,12 +261,11 @@ def test_criterion_11_recurrence_convergence():
         b = rng.uniform(0.05, 0.95)
         y = rng.uniform(1.2, 4.0)
         s_base = rng.choice([0.0, rng.uniform(0.0, 3.0)])
-        rspec = RecurrenceSpec.constant(a, b, y, s_base=s_base)
-        limit = recurrence_limit_bound(a, b)
-        seq = simulate_recurrence(rspec, 512)
+        limit = recurrence_limit(a, b)
+        seq = simulate_constant_recurrence(a, b, y, s_base, 512)
         slack = 1e-9 * (1.0 + limit)
         ok = ok and all(
-            abs(seq[n] - limit) <= telescoped_error_bound(rspec, n) + slack
+            abs(seq[n] - limit) <= telescoped_error_bound(a, b, y, s_base, n) + slack
             for n in range(1, 513)
         )
     elapsed = time.perf_counter() - start

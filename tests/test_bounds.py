@@ -8,7 +8,6 @@ import pytest
 from qcover import (
     BoundParams,
     InfeasibleParamsError,
-    RecurrenceSpec,
     classic_bound,
     closed_form_bound,
     closed_form_chain_check,
@@ -16,21 +15,26 @@ from qcover import (
     nested_parametric_bound,
     optimize_parametric_bound,
     parametric_bound,
-    parametric_bound_factored,
-    parametric_bound_geometric,
-    recurrence_depth,
-    recurrence_limit_bound,
-    simulate_recurrence,
-    telescoped_error_bound,
 )
-from qcover.bounds import BOUND_TABLE_HEADER, bound_table_rows, floor_div_real
+from qcover.bounds import (
+    BOUND_TABLE_HEADER,
+    _bound_factored,
+    _bound_geometric,
+    bound_table_rows,
+    floor_div_real,
+)
 
 from oracles import (
+    mp_chain_check,
     mp_classic_bound,
     mp_closed_form_bound,
     mp_nested_bound,
     mp_parametric_bound,
+    recurrence_depth,
+    recurrence_limit,
     sample_feasible_params,
+    simulate_constant_recurrence,
+    telescoped_error_bound,
 )
 
 
@@ -89,8 +93,7 @@ def test_parametric_bound_forms_agree():
     rng = random.Random(7)
     for _ in range(1000):
         R, x, y = sample_feasible_params(rng)
-        p = BoundParams(R=R, x=x, y=y)
-        assert rel_err(parametric_bound_factored(p), parametric_bound_geometric(p)) <= 1e-12
+        assert rel_err(_bound_factored(R, x, y), _bound_geometric(R, x, y)) <= 1e-12
 
 
 def test_parametric_bound_limit_for_large_x():
@@ -137,9 +140,7 @@ def test_nested_reduces_to_parametric_bit_for_bit():
         if R < 2:
             continue
         p0 = BoundParams(R=R, x=x, y=y, R1=0, mu_star=1.0)
-        assert nested_parametric_bound(p0) == parametric_bound_factored(
-            BoundParams(R=R, x=x, y=y)
-        )
+        assert nested_parametric_bound(p0) == parametric_bound(BoundParams(R=R, x=x, y=y))
 
 
 def test_nested_bound_example_value():
@@ -218,25 +219,29 @@ def test_new_bound_beats_classic_everywhere():
 
 def test_chain_check_holds_at_six_and_large():
     for R in (6, 7, 50, 10_000):
-        report = closed_form_chain_check(R)
-        assert report.holds, (R, report.failed_step)
-        assert report.bound_at_params <= report.closed_form
+        assert closed_form_chain_check(R) is None, R
+        oracle = mp_chain_check(R)
+        assert oracle.bound <= oracle.closed_form
 
 
 def test_chain_check_reports_failure_at_five():
-    report = closed_form_chain_check(5)
-    assert not report.holds
-    assert report.failed_step == "i"
-    assert report.lhs_i > report.rhs_i
-    assert report.closed_form is None  # not claimed below six
+    assert closed_form_chain_check(5) == "i"
+    oracle = mp_chain_check(5)
+    assert oracle.lhs_i > oracle.rhs_i
+    assert oracle.closed_form is None  # not claimed below six
 
 
 def test_chain_check_step_values_at_six():
-    report = closed_form_chain_check(6)
-    assert rel_err(report.t, 1 / 36) < 1e-9
-    assert report.lhs_i < report.rhs_i
-    assert report.ratio_pow <= report.ratio_pow_cap
-    assert rel_err(report.bound_at_params, 32.21334194386763) < 1e-9
+    oracle = mp_chain_check(6)
+    assert rel_err(float(oracle.t), 1 / 36) < 1e-9
+    assert oracle.lhs_i < oracle.rhs_i
+    assert oracle.ratio_pow <= oracle.ratio_pow_cap
+    assert rel_err(float(oracle.bound), 32.21334194386763) < 1e-9
+
+
+def test_chain_check_first_failure_matches_oracle():
+    for R in [*range(2, 301), 10_000]:
+        assert closed_form_chain_check(R) == mp_chain_check(R).failed_step, R
 
 
 def test_chain_check_rejects_tiny_R():
@@ -253,15 +258,13 @@ def test_optimizer_beats_simple_sample_at_R1():
     opt = optimize_parametric_bound(1)
     assert opt.bound <= 4 * math.log(4)
     assert 4.0 < opt.bound <= 4.911  # grid-scan reference value 4.91082
-    assert rel_err(
-        opt.bound, parametric_bound_factored(BoundParams(R=1, x=opt.x, y=opt.y))
-    ) == 0.0
+    assert rel_err(opt.bound, parametric_bound(BoundParams(R=1, x=opt.x, y=opt.y))) == 0.0
 
 
 def test_optimizer_dominates_chain_params():
     for R in (6, 10):
         x, y = chain_params(R)
-        reference = parametric_bound_factored(BoundParams(R=R, x=x, y=y))
+        reference = parametric_bound(BoundParams(R=R, x=x, y=y))
         opt = optimize_parametric_bound(R)
         assert opt.bound <= reference
         assert opt.bound <= closed_form_bound(R)
@@ -275,7 +278,7 @@ def test_optimizer_dominates_random_feasible_samples():
         for _ in range(50):
             y = 1.0 + math.exp(rng.uniform(math.log(1e-2), math.log(10.0 * R)))
             x = R * math.log(y) + math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
-            assert opt.bound <= parametric_bound_factored(BoundParams(R=R, x=x, y=y))
+            assert opt.bound <= parametric_bound(BoundParams(R=R, x=x, y=y))
 
 
 def test_optimizer_invariant_to_region_doubling():
@@ -295,17 +298,17 @@ def test_optimizer_rejects_bad_R():
 
 
 # ---------------------------------------------------------------------------
-# recurrence machinery
+# the density recurrence (constant-sequence oracle)
 # ---------------------------------------------------------------------------
 
 
 def test_recurrence_limit_bound_values():
-    assert recurrence_limit_bound(1.0, 0.0) == 1.0
-    assert recurrence_limit_bound(0.0, 0.9) == 0.0
+    assert recurrence_limit(1.0, 0.0) == 1.0
+    assert recurrence_limit(0.0, 0.9) == 0.0
     with pytest.raises(InfeasibleParamsError):
-        recurrence_limit_bound(1.0, 1.0)
+        recurrence_limit(1.0, 1.0)
     with pytest.raises(InfeasibleParamsError):
-        recurrence_limit_bound(1.0, -0.1)
+        recurrence_limit(1.0, -0.1)
 
 
 def test_recurrence_limit_matches_parametric_bound():
@@ -315,22 +318,20 @@ def test_recurrence_limit_matches_parametric_bound():
         R, x, y = sample_feasible_params(rng, r_max=40, margin_lo=0.05)
         a = x * math.exp(R * math.log1p(1.0 / (y - 1.0)))
         b = math.exp(R * math.log(y) - x)
-        got = recurrence_limit_bound(a, b)
+        got = recurrence_limit(a, b)
         assert rel_err(got, parametric_bound(BoundParams(R=R, x=x, y=y))) < 1e-12
 
 
 def test_simulate_recurrence_seeds_and_b_zero():
-    spec = RecurrenceSpec.constant(3.0, 0.0, 2.5, s_base=7.0)
-    s = simulate_recurrence(spec, 20)
+    s = simulate_constant_recurrence(3.0, 0.0, 2.5, 7.0, 20)
     assert s[1] == 7.0 and s[2] == 7.0  # floor(2/2.5) = 0 keeps the seed
     assert all(s[n] == 3.0 for n in range(3, 21))
 
 
 def test_simulate_recurrence_converges_geometrically():
-    spec = RecurrenceSpec.constant(1.0, 0.5, 2.0, s_base=0.0)
-    s = simulate_recurrence(spec, 2**10)
+    s = simulate_constant_recurrence(1.0, 0.5, 2.0, 0.0, 2**10)
     assert abs(s[2**10] - 2.0) <= 2.0**-9
-    assert abs(s[2**10] - 2.0) <= telescoped_error_bound(spec, 2**10)
+    assert abs(s[2**10] - 2.0) <= telescoped_error_bound(1.0, 0.5, 2.0, 0.0, 2**10)
 
 
 def test_recurrence_depth_matches_iterated_floor():
@@ -347,19 +348,18 @@ def test_telescoped_bound_holds_everywhere_constant_case():
         b = rng.uniform(0.05, 0.95)
         y = rng.uniform(1.2, 4.0)
         s_base = rng.choice([0.0, rng.uniform(0.0, 3.0)])
-        spec = RecurrenceSpec.constant(a, b, y, s_base=s_base)
-        limit = recurrence_limit_bound(a, b)
-        s = simulate_recurrence(spec, 512)
+        limit = recurrence_limit(a, b)
+        s = simulate_constant_recurrence(a, b, y, s_base, 512)
         for n in range(1, 513):
             slack = 1e-9 * (1.0 + limit)  # float accumulation headroom
-            assert abs(s[n] - limit) <= telescoped_error_bound(spec, n) + slack, (k, n)
+            assert abs(s[n] - limit) <= telescoped_error_bound(a, b, y, s_base, n) + slack, (k, n)
 
 
 def test_recurrence_spec_validation():
     with pytest.raises(InfeasibleParamsError):
-        RecurrenceSpec.constant(1.0, 1.2, 2.0)
+        simulate_constant_recurrence(1.0, 1.2, 2.0, 0.0, 10)
     with pytest.raises(InfeasibleParamsError):
-        RecurrenceSpec.constant(1.0, 0.5, 1.0)
+        simulate_constant_recurrence(1.0, 0.5, 1.0, 0.0, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qcover import (
@@ -37,15 +38,15 @@ def test_hamming_graph_view_examples():
     sp0 = HammingSpace(3, 2)
     res = dominating_partial(sp0, 0, 0.5, seed=1)
     assert len(res.X) == domination_size_cap(9, 0, 0.5) == 4
-    assert res.N_bar == frozenset(range(9)) - res.X
+    assert frozenset(res.N_bar.tolist()) == frozenset(range(9)) - frozenset(res.X.tolist())
 
 
 def test_dominating_partial_complete_graph():
     # [20]^1 at radius 1 is the complete graph K_20
     sp = HammingSpace(20, 1)
     res = dominating_partial(sp, 1, 1.5, seed=2)
-    assert len(res.X) == 1 and res.N_bar == frozenset()
-    assert nbar_of(sp, 1, res.X) == frozenset()
+    assert len(res.X) == 1 and res.N_bar.size == 0
+    assert nbar_of(sp, 1, res.X.tolist()) == frozenset()
 
 
 def test_dominating_partial_empty_graph_vacuous_threshold():
@@ -55,12 +56,12 @@ def test_dominating_partial_empty_graph_vacuous_threshold():
     # size floor(0.01*100/1) = 1; threshold ceil(e^0 * 100) = 100 admits any X
     assert len(res.X) <= 1
     assert len(res.N_bar) <= 100
-    assert res.N_bar == nbar_of(sp, 0, res.X)
+    assert frozenset(res.N_bar.tolist()) == nbar_of(sp, 0, res.X.tolist())
 
 
 def test_dominating_partial_size_zero_is_vacuous():
     res = dominating_partial(HammingSpace(10, 1), 0, 0.05, seed=0)
-    assert res.X == frozenset() and res.N_bar == frozenset(range(10))
+    assert res.X.tolist() == [] and res.N_bar.tolist() == list(range(10))
     assert res.trials_used == 0
 
 
@@ -73,14 +74,22 @@ def test_dominating_partial_hamming_example():
     res = dominating_partial(sp, 1, 3.0, seed=12)
     assert len(res.X) <= 85
     assert len(res.N_bar) <= 14
-    assert res.N_bar == nbar_of(sp, 1, res.X)  # independent recomputation
+    # independent recomputation
+    assert frozenset(res.N_bar.tolist()) == nbar_of(sp, 1, res.X.tolist())
+    for idx in (res.X, res.N_bar):  # sorted, read-only int64 index arrays
+        assert idx.dtype == np.int64 and not idx.flags.writeable
+        assert np.all(idx[1:] > idx[:-1])
 
 
 def test_dominating_partial_deterministic():
     sp = HammingSpace(2, 7)
     a = dominating_partial(sp, 1, 2.0, seed=99)
     b = dominating_partial(sp, 1, 2.0, seed=99)
-    assert a == b
+    assert (a.X.tolist(), a.N_bar.tolist(), a.trials_used) == (
+        b.X.tolist(),
+        b.N_bar.tolist(),
+        b.trials_used,
+    )
     assert dominating_partial(sp, 1, 2.0, seed=100) is not None  # other seeds work too
 
 
@@ -113,7 +122,7 @@ def test_greedy_ball_cover_is_covering():
 ])
 def test_greedy_ball_cover_matches_set_based_loop(q, n, radius):
     sp = HammingSpace(q, n)
-    assert greedy_ball_cover(sp, radius).words == set_greedy_ball_cover(sp, radius)
+    assert set(greedy_ball_cover(sp, radius).sorted_words()) == set_greedy_ball_cover(sp, radius)
 
 
 def test_floor_div_real_matches_exact_arithmetic():
@@ -127,7 +136,7 @@ def test_floor_div_real_matches_exact_arithmetic():
 def test_construct_trivial_when_radius_swallows_space():
     sp = HammingSpace(3, 2)
     code, trace = recursive_construct(sp, 3, x=4.0, y=2.0)
-    assert code.words == {(0, 0)}
+    assert code.sorted_words() == [(0, 0)]
     assert trace.density.exact == 1  # ball of radius >= n is the whole space
     assert trace.base.method == "trivial" and trace.levels == []
 
@@ -152,7 +161,7 @@ def test_construct_deterministic_per_seed():
     x = 1 * math.log(2) + 1.2
     a_code, a_trace = recursive_construct(sp, 1, x, 2.0, seed=5)
     b_code, b_trace = recursive_construct(sp, 1, x, 2.0, seed=5)
-    assert a_code.words == b_code.words
+    assert a_code == b_code
     assert dumps_trace(a_trace) == dumps_trace(b_trace)
 
 

@@ -206,5 +206,5 @@ def test_solver_density_matches_code():
 def test_deterministic_across_runs():
     a = minimal_covering_code(HammingSpace(3, 3), 1)
     b = minimal_covering_code(HammingSpace(3, 3), 1)
-    assert a.code.words == b.code.words
+    assert a.code == b.code
     assert a.nodes == b.nodes
