@@ -14,7 +14,6 @@ from .bounds import (
 from .codes import (
     Code,
     CoverVerdict,
-    DensityValue,
     SampleVerdict,
     code_from_dict,
     code_to_dict,

@@ -103,9 +103,7 @@ def nested_parametric_bound(p: BoundParams) -> float:
     ``mu_star`` is omitted it defaults to 1 for R1 = 0 and to the optimized
     parametric bound at radius R1 otherwise.
     """
-    r1 = p.R1 if p.R1 is not None else 0
-    if not 0 <= r1 < p.R:
-        raise InfeasibleParamsError(f"requires 0 <= R1 < R, got R1={r1}")
+    r1 = p.R1 if p.R1 is not None else 0  # BoundParams enforces 0 <= R1 < R
     mu = p.mu_star if p.mu_star is not None else default_mu_star(r1)
     require_feasible(p.R, p.x, p.y)
     inv_binom = 1.0 / math.comb(p.R, r1)
@@ -180,9 +178,7 @@ def closed_form_chain_check(R: int) -> Optional[str]:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-10
-) -> tuple:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple:
     """Golden-section minimum of f on [lo, hi]; returns the best evaluated point."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
@@ -190,7 +186,7 @@ def _golden_min(
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     for _ in range(300):
-        if abs(b - a) <= rel_tol * (abs(a) + abs(b) + 1e-12):
+        if abs(b - a) <= 1e-10 * (abs(a) + abs(b) + 1e-12):  # relative bracket width
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -213,33 +209,24 @@ class OptimizationResult(NamedTuple):
     bound: float
 
 
-def optimize_parametric_bound(
-    R: int,
-    *,
-    y_hi: Optional[float] = None,
-    x_span: Optional[float] = None,
-    rel_tol: float = 1e-10,
-) -> OptimizationResult:
+def optimize_parametric_bound(R: int) -> OptimizationResult:
     """Approximately minimize the parametric bound over {y > 1, x > R*ln(y)}.
 
-    Nested golden-section search: the outer pass moves ln(y - 1) and the
-    inner pass moves x above its feasibility floor. Three outer bracket
+    Nested golden-section search: the outer pass moves ln(y - 1) over
+    [ln 1e-6, ln(y_hi - 1)] with y_hi = 10 R ln(R + 2) + 10, and the inner
+    pass moves x over (R ln y, R ln y + 20 ln(R + 2)]. Three outer bracket
     seeds plus a local polish hedge against flat valleys, and for R >= 6 the
     chain-check parameter point joins the candidate pool, so the result
     never loses to it.
     """
     if R < 1:
         raise InfeasibleParamsError(f"requires R >= 1, got {R}")
-    if y_hi is None:
-        y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
-    if x_span is None:
-        x_span = 20.0 * math.log(R + 2.0)
+    y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
+    x_span = 20.0 * math.log(R + 2.0)
 
     def best_x_for(y: float) -> tuple:
         floor_x = R * math.log(y)
-        return _golden_min(
-            lambda x: _bound_factored(R, x, y), floor_x + 1e-9, floor_x + x_span, rel_tol
-        )
+        return _golden_min(lambda x: _bound_factored(R, x, y), floor_x + 1e-9, floor_x + x_span)
 
     def outer(u: float) -> float:
         return best_x_for(1.0 + math.exp(u))[1]
@@ -249,7 +236,7 @@ def optimize_parametric_bound(
     candidates: List[tuple] = []
 
     def add_bracket(a: float, b: float) -> None:
-        u, _ = _golden_min(outer, a, b, rel_tol)
+        u, _ = _golden_min(outer, a, b)
         y = 1.0 + math.exp(u)
         x, val = best_x_for(y)
         candidates.append((val, x, y))

@@ -25,11 +25,11 @@ from typing import List, Optional
 from . import bounds
 from .codes import (
     Code,
+    digits_to_texts,
     dumps_code,
     read_code,
     verify_covering,
     verify_covering_sampled,
-    word_to_text,
 )
 from .construct import BASE_POLICIES, dumps_trace, recursive_construct
 from .errors import (
@@ -88,10 +88,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace) if args.trace else out.with_suffix(".trace.json")
     out.write_text(dumps_code(code))
     trace_path.write_text(dumps_trace(trace))
-    dens = trace.density
     print(
         f"constructed {len(code)} codewords over [{args.q}]^{args.n} at radius {args.R}; "
-        f"density {dens.exact} ~ {_fmt(dens.approx)}"
+        f"density {trace.density} ~ {_fmt(float(trace.density))}"
     )
     print(f"code:  {out}")
     print(f"trace: {trace_path}")
@@ -102,17 +101,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = _read_code_file(args.code)
     if args.sampled is not None:
         verdict = verify_covering_sampled(code, args.R, args.sampled, seed=args.seed)
-        if verdict.found_uncovered:
-            print(f"uncovered: witness {word_to_text(verdict.witness, code.space.q)}")
-            return EXIT_COUNTEREXAMPLE
-        print(f"no-counterexample after {verdict.samples} samples (not a covering proof)")
-        return EXIT_OK
-    _warn_guard_override("verification", args.max_space, DEFAULT_ENUMERATION_GUARD)
-    verdict = verify_covering(code, args.R, guard=args.max_space)
-    if verdict.covered:
-        print("covered")
-        return EXIT_OK
-    print(f"uncovered: witness {word_to_text(verdict.witness, code.space.q)}")
+        if not verdict.found_uncovered:
+            print(f"no-counterexample after {verdict.samples} samples (not a covering proof)")
+            return EXIT_OK
+    else:
+        _warn_guard_override("verification", args.max_space, DEFAULT_ENUMERATION_GUARD)
+        verdict = verify_covering(code, args.R, guard=args.max_space)
+        if verdict.covered:
+            print("covered")
+            return EXIT_OK
+    print(f"uncovered: witness {digits_to_texts([verdict.witness], code.space.q)[0]}")
     return EXIT_COUNTEREXAMPLE
 
 
@@ -185,8 +183,10 @@ def cmd_bounds_table(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_check(args: argparse.Namespace) -> int:
-    if args.R_min < 2:
-        raise InfeasibleParamsError("requires --R-min >= 2")
+    if not 2 <= args.R_min <= args.R_max:
+        raise InfeasibleParamsError(
+            f"requires 2 <= --R-min <= --R-max, got [{args.R_min}, {args.R_max}]"
+        )
     all_hold = True
     for R in range(args.R_min, args.R_max + 1):
         failed = bounds.closed_form_chain_check(R)

@@ -1,6 +1,10 @@
 """Covering codes: membership, covering verification, exact density, file I/O.
 
 A code is a sorted array of distinct word indices in one Hamming space.
+Every word that enters or leaves a code passes through one (k, n) digit
+matrix: the code-file parser and ``Code.from_words`` split words into
+symbols and share one membership check, and :func:`digits_to_texts`
+renders the matrix. A density is an exact ``Fraction``.
 Exhaustive covering verification runs the vectorized radius-expansion
 kernel over the whole space. Sampled verification spot-checks random words
 on spaces too large to enumerate.
@@ -69,9 +73,8 @@ class Code:
     @classmethod
     def from_words(cls, space: HammingSpace, words: Iterable[Sequence[int]]) -> "Code":
         """Build a code from word tuples in any order; duplicates collapse."""
-        rows = [space.require_word(w) for w in words]
-        digits = np.array(rows, dtype=np.int64).reshape(len(rows), space.n)
-        return cls(space, unique_indices(digits_to_indices(space, digits)))
+        rows = [tuple(w) for w in words]
+        return _words_code(space, rows, np.array([s for row in rows for s in row]), map(len, rows))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -89,20 +92,15 @@ class Code:
         return [tuple(row) for row in indices_to_digits(self.space, self.indices).tolist()]
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    """Exact covering density |K| * V_q(n,R) / q^n with a float projection."""
-
-    exact: Fraction
-
-    @property
-    def approx(self) -> float:
-        return float(self.exact)
-
-
-def density(code: Code, radius: int) -> DensityValue:
+def density(code: Code, radius: int) -> Fraction:
+    """Exact covering density |K| * V_q(n,R) / q^n."""
     sp = code.space
-    return DensityValue(Fraction(len(code) * ball_volume(sp, radius), sp.size))
+    return Fraction(len(code) * ball_volume(sp, radius), sp.size)
+
+
+def density_to_dict(value: Fraction) -> dict:
+    """The JSON form of a density: exact numerator and denominator plus a float."""
+    return {"numerator": value.numerator, "denominator": value.denominator, "approx": float(value)}
 
 
 def sphere_covering_lower_bound(space: HammingSpace, radius: int) -> int:
@@ -187,56 +185,57 @@ def verify_covering_sampled(
 # ---------------------------------------------------------------------------
 
 
-def word_to_text(w: Sequence[int], q: int) -> str:
-    if q <= 10:
-        return "".join(str(s) for s in w)
-    return ",".join(str(s) for s in w)
+def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -> Code:
+    """The code of ``words``, given their concatenated symbols and their symbol counts.
 
-
-def _comma_word(text: str, space: HammingSpace) -> Word:
-    """Parse one q > 10 word: comma-separated symbols in ASCII decimal digits."""
-    if not isinstance(text, str):
-        raise TypeError(f"code words must be strings, got {text!r}")
-    parts = text.split(",") if text else []
-    if not all(p.isascii() and p.isdigit() for p in parts):
-        raise ValueError(f"{text!r} is not a word of [{space.q}]^{space.n}")
-    return space.require_word(int(p) for p in parts)
-
-
-def _digit_matrix(texts: List[str], space: HammingSpace) -> np.ndarray:
-    """Parse q <= 10 digit strings into a validated (len(texts), n) uint8 matrix."""
+    Raises ValueError naming the first word without exactly n symbols in [0, q).
+    """
     q, n = space.q, space.n
-    joined = "".join(texts)  # raises TypeError on a non-string word
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    bad = np.flatnonzero(lengths != n)
+    bad = np.flatnonzero(np.fromiter(counts, dtype=np.int64, count=len(words)) != n)
+    if not bad.size:
+        digits = symbols.reshape(len(words), n)
+        out = digits >= q  # non-numeric symbols raise TypeError here
+        if digits.dtype.kind != "u":  # only Code.from_words passes signed symbols
+            out |= digits < 0
+        bad = np.flatnonzero(out.any(axis=1))
     if bad.size:
-        raise ValueError(f"{texts[bad[0]]!r} is not a word of [{q}]^{n}")
-    if not joined.isascii():
-        raise ValueError("code words must be ASCII digit strings")
-    digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
-    digits = digits.reshape(len(texts), n)
-    bad = np.flatnonzero((digits >= q).any(axis=1))  # characters below '0' wrap high
-    if bad.size:
-        raise ValueError(f"{texts[bad[0]]!r} is not a word of [{q}]^{n}")
-    return digits
+        raise ValueError(f"{words[bad[0]]!r} is not a word of [{q}]^{n}")
+    return Code(space, unique_indices(digits_to_indices(space, digits)))
+
+
+def digits_to_texts(digits, q: int) -> List[str]:
+    """Render a (k, n) digit matrix, or a list of words, as code-file word texts."""
+    if q > 10:
+        return [",".join(map(str, row)) for row in np.asarray(digits).tolist()]
+    digits = np.asarray(digits, dtype=np.uint8)
+    n = digits.shape[1]
+    text = (digits + ord("0")).tobytes().decode("ascii")
+    return [text[i * n : (i + 1) * n] for i in range(len(digits))]
 
 
 def code_to_dict(code: Code) -> dict:
     sp = code.space
-    if sp.q <= 10:
-        text = (indices_to_digits(sp, code.indices) + ord("0")).tobytes().decode("ascii")
-        words = [text[i * sp.n : (i + 1) * sp.n] for i in range(len(code))]
-    else:
-        words = [word_to_text(w, sp.q) for w in code.sorted_words()]
+    words = digits_to_texts(indices_to_digits(sp, code.indices), sp.q)
     return {"q": sp.q, "n": sp.n, "words": words}
 
 
 def code_from_dict(obj: dict) -> Code:
+    """Parse a code file's object; a word that is not a string raises TypeError."""
     space = HammingSpace(obj["q"], obj["n"])
     texts = list(obj["words"])
-    if space.q > 10:
-        return Code.from_words(space, (_comma_word(t, space) for t in texts))
-    return Code(space, unique_indices(digits_to_indices(space, _digit_matrix(texts, space))))
+    if space.q <= 10:
+        # "".join raises TypeError on a non-string word. One byte per character:
+        # a non-ASCII one encodes as "?", which lies above "9" like every
+        # non-digit, and characters below "0" wrap high. The joined text is
+        # freed once the uint8 symbols exist.
+        symbols = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8) - ord("0")
+        return _words_code(space, texts, symbols, map(len, texts))
+    split = [str.split(t, ",") if t != "" else [] for t in texts]  # TypeError on a non-string
+    # a symbol that is not ASCII digits, or is past q, becomes q before the
+    # cast, so it fails the check instead of overflowing
+    q = space.q
+    symbols = [min(int(p), q) if p.isascii() and p.isdigit() else q for ps in split for p in ps]
+    return _words_code(space, texts, np.array(symbols, np.min_scalar_type(q)), map(len, split))
 
 
 def dumps_code(code: Code) -> str:

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import floor_div_real, require_feasible
-from .codes import Code, DensityValue, density, unique_indices
+from .codes import Code, density, density_to_dict, unique_indices
 from .errors import DominationFailure, InfeasibleParamsError
 from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
 from .solver import EXACT_SOLVER_GUARD, _ball_masks, _greedy_cover, minimal_covering_code
@@ -167,10 +167,9 @@ class ConstructionTrace:
     levels: List[TraceLevel] = field(default_factory=list)
     base: Optional[BaseRecord] = None
     total_size: int = 0
-    density: Optional[DensityValue] = None
+    density: Optional[Fraction] = None
 
     def to_json_dict(self) -> dict:
-        dens = self.density.exact if self.density is not None else Fraction(0)
         return {
             "q": self.q,
             "n": self.n,
@@ -182,11 +181,7 @@ class ConstructionTrace:
             "levels": [vars(lv).copy() for lv in self.levels],
             "base": None if self.base is None else vars(self.base).copy(),
             "total_size": self.total_size,
-            "density": {
-                "numerator": dens.numerator,
-                "denominator": dens.denominator,
-                "approx": float(dens),
-            },
+            "density": density_to_dict(self.density),
         }
 
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 import numpy as np
 
-from .codes import Code, DensityValue, density
+from .codes import Code, code_to_dict, density, density_to_dict
 from .errors import SpaceTooLargeError
 from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
 
@@ -52,15 +53,13 @@ class SolveResult:
 
     optimal_size: int
     code: Code
-    density: DensityValue
+    density: Fraction
     status: str
     canonical: bool
     nodes: int
     elapsed: float
 
     def to_json_dict(self) -> dict:
-        from .codes import code_to_dict
-
         # elapsed is deliberately left out: emitted JSON stays byte-identical
         # across runs with the same inputs
         return {
@@ -68,11 +67,7 @@ class SolveResult:
             "status": self.status,
             "canonical": self.canonical,
             "nodes": self.nodes,
-            "density": {
-                "numerator": self.density.exact.numerator,
-                "denominator": self.density.exact.denominator,
-                "approx": self.density.approx,
-            },
+            "density": density_to_dict(self.density),
             "code": code_to_dict(self.code),
         }
 

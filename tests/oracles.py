@@ -21,6 +21,7 @@ from qcover.codes import Code, CoverVerdict, density
 from qcover.errors import InfeasibleParamsError
 from qcover.hamming import (
     DEFAULT_ENUMERATION_GUARD,
+    HammingSpace,
     ball_volume,
     check_radius,
     index_word,
@@ -110,6 +111,30 @@ def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
         if not any(brute_distance(w, c) <= radius for c in words):
             return CoverVerdict(False, w)
     return CoverVerdict(True)
+
+
+def reference_from_words(space, words):
+    """``Code.from_words`` one word at a time: ``require_word`` checks each tuple."""
+    return Code(space, sorted({word_index(space, w) for w in words}))
+
+
+def reference_code_from_dict(obj):
+    """The per-word code-file parser the library's digit-matrix codec replaced.
+
+    Each word must be a string. It splits into symbols by character for
+    q <= 10 and on commas otherwise; every symbol must be ASCII decimal
+    digits, and the tuple of their values must be a word of the space.
+    """
+    space = HammingSpace(obj["q"], obj["n"])
+    words = []
+    for text in obj["words"]:
+        if not isinstance(text, str):
+            raise TypeError(f"code words must be strings, got {text!r}")
+        parts = list(text) if space.q <= 10 else (text.split(",") if text else [])
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(f"{text!r} is not a word of [{space.q}]^{space.n}")
+        words.append(tuple(int(p) for p in parts))
+    return reference_from_words(space, words)
 
 
 def ball_masks(q, n, radius):
@@ -344,6 +369,44 @@ def mp_classic_bound(q, R):
     R = mp.mpf(R)
     v = mp.e * (R * mp.log(R) + mp.log(R) + mp.log(mp.log(R)) + 2)
     return v if q == 2 else 2 * v
+
+
+def mp_optimal_bound(R):
+    """Minimum of the parametric bound over {y > 1, x > R ln y}, at 40 digits.
+
+    At fixed y the bound A x e^x / (e^x - y^R), with A = (y/(y-1))^R, is
+    smallest where e^x = y^R (1 + x), i.e. at x* = -1 - W_{-1}(-1/(e y^R)),
+    and its value there is A (1 + x*). The outer minimum over v = ln(y - 1)
+    on [ln 1e-12, ln(2 y_hi)], with y_hi = 10 R ln(R + 2) + 10 the upper end
+    of the library optimizer's y range, is bracketed by a grid scan and
+    refined by golden-section search.
+    """
+    Rm = mp.mpf(R)
+
+    def at(v):
+        c = (1 + mp.exp(v)) ** Rm  # y^R
+        x = -1 - mp.lambertw(-1 / (mp.e * c), -1).real
+        return (1 + mp.exp(-v)) ** Rm * (1 + x)
+
+    lo = mp.log(mp.mpf("1e-12"))
+    hi = mp.log(2 * (10 * Rm * mp.log(Rm + 2) + 10))
+    grid = 200
+    vs = [lo + (hi - lo) * k / grid for k in range(grid + 1)]
+    k = min(range(grid + 1), key=lambda i: at(vs[i]))
+    a, b = vs[max(k - 1, 0)], vs[min(k + 1, grid)]
+    inv_phi = (mp.sqrt(5) - 1) / 2
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = at(c), at(d)
+    while b - a > mp.mpf("1e-20"):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = at(d)
+    return min(fc, fd)
 
 
 class MpChain(NamedTuple):

@@ -242,7 +242,7 @@ def test_criterion_10_asymptotic_claim_substituted():
     lines = []
     for n in (8, 10, 12):
         code, trace = recursive_construct(HammingSpace(2, n), R, x, y, seed=n)
-        lines.append(f"n={n}: density {trace.density.approx:.3f}")
+        lines.append(f"n={n}: density {float(trace.density):.3f}")
     elapsed = time.perf_counter() - start
     report(10, converged, elapsed, 60.0,
            "asymptotic inequality NOT verifiable at finite n (limsup over n); "

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "ConstructionTrace",
     "CoverVerdict",
     "DEFAULT_ENUMERATION_GUARD",
-    "DensityValue",
     "DominationFailure",
     "DominationResult",
     "EXACT_SOLVER_GUARD",

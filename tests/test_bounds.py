@@ -29,6 +29,7 @@ from oracles import (
     mp_classic_bound,
     mp_closed_form_bound,
     mp_nested_bound,
+    mp_optimal_bound,
     mp_parametric_bound,
     recurrence_depth,
     recurrence_limit,
@@ -281,15 +282,10 @@ def test_optimizer_dominates_random_feasible_samples():
             assert opt.bound <= parametric_bound(BoundParams(R=R, x=x, y=y))
 
 
-def test_optimizer_invariant_to_region_doubling():
-    for R in (3, 6):
-        base = optimize_parametric_bound(R)
-        wide = optimize_parametric_bound(
-            R,
-            y_hi=2.0 * (10.0 * R * math.log(R + 2.0) + 10.0),
-            x_span=2.0 * 20.0 * math.log(R + 2.0),
-        )
-        assert rel_err(base.bound, wide.bound) < 1e-6
+def test_optimizer_matches_mp_optimal_bound():
+    # the oracle's region is wider than the optimizer's in both x and y
+    for R in (1, 2, 3, 6, 10, 50, 200):
+        assert rel_err(optimize_parametric_bound(R).bound, float(mp_optimal_bound(R))) <= 1e-9
 
 
 def test_optimizer_rejects_bad_R():

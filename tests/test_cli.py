@@ -85,6 +85,9 @@ def test_verify_uncovered_exits_one(tmp_path, capsys):
     status, out, _ = run(capsys, "verify", "--code", str(path), "--R", "1")
     assert status == 1
     assert "011" in out  # lexicographically smallest witness
+    path.write_text(json.dumps({"q": 12, "n": 2, "words": ["0,0"]}))
+    status, out, _ = run(capsys, "verify", "--code", str(path), "--R", "0")
+    assert status == 1 and out == "uncovered: witness 0,1\n"
 
 
 def test_verify_sampled_modes(tmp_path, capsys):
@@ -134,9 +137,10 @@ def test_malformed_words_exit_two(tmp_path, capsys):
         path.write_text(json.dumps({"q": 2, "n": 3, "words": words}))
         status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1")
         assert status == 2 and "cannot read" in err, words
-    path.write_text(json.dumps({"q": 12, "n": 2, "words": [5]}))
-    status, _, _ = run(capsys, "verify", "--code", str(path), "--R", "1", "--sampled", "3")
-    assert status == 2
+    for words in ([5], ["99999999999999999999999,1"]):
+        path.write_text(json.dumps({"q": 12, "n": 2, "words": words}))
+        status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1", "--sampled", "3")
+        assert status == 2 and "cannot read" in err, words
 
 
 def test_negative_radius_exits_three(tmp_path, capsys):
@@ -280,3 +284,11 @@ def test_bounds_check_corollary(capsys):
                          "--R-min", "5", "--R-max", "8")
     assert status == 1
     assert "R=5: FAILS at step (i)" in out
+
+
+def test_bounds_check_corollary_rejects_bad_range(capsys):
+    for r_min, r_max in (("10", "5"), ("1", "8")):
+        status, out, err = run(capsys, "bounds", "check-corollary",
+                               "--R-min", r_min, "--R-max", r_max)
+        assert status == 3 and out == ""
+        assert f"[{r_min}, {r_max}]" in err

@@ -25,7 +25,13 @@ from qcover.codes import (
 )
 from qcover.hamming import expand_within_radius
 
-from oracles import brute_distance, brute_is_covering, verify_covering_scan
+from oracles import (
+    brute_distance,
+    brute_is_covering,
+    reference_code_from_dict,
+    reference_from_words,
+    verify_covering_scan,
+)
 
 
 def make_code(q, n, words):
@@ -75,27 +81,100 @@ def test_empty_code_and_zero_length_words():
     assert verify_covering_sampled(point, 0, 3).found_uncovered is False
 
 
-@pytest.mark.parametrize(
-    "words",
-    [
-        ["012"],  # symbol out of range for q=2
-        ["01"],  # wrong length
-        ["0a1"],  # non-digit
-        ["0 1"],
-        ["0\u0661\u0660"],  # Arabic-Indic digits, which int() would accept
-        [[0, 1, 0]],  # not a string
-        [7],
-    ],
-)
+MALFORMED_Q2_N3 = [
+    ["012"],  # symbol out of range for q=2
+    ["01"],  # wrong length
+    ["0a1"],  # non-digit
+    ["0 1"],
+    ["0\u0661\u0660"],  # Arabic-Indic digits, which int() would accept
+    [[0, 1, 0]],  # not a string
+    [7],
+]
+
+MALFORMED_Q12_N2 = ["1,12", "1", "1,+2", "1, 2", "1,\u0662", "", "1,2,3"]
+
+OVERSIZED_SYMBOL = "99999999999999999999999,1"  # far beyond int64
+
+
+@pytest.mark.parametrize("words", MALFORMED_Q2_N3)
 def test_code_from_dict_rejects_malformed_words(words):
     with pytest.raises((ValueError, TypeError)):
         code_from_dict({"q": 2, "n": 3, "words": ["000"] + words})
 
 
 def test_large_alphabet_rejects_malformed_words():
-    for text in ["1,12", "1", "1,+2", "1, 2", "1,\u0662", "", "1,2,3"]:
+    for text in MALFORMED_Q12_N2 + [OVERSIZED_SYMBOL]:
         with pytest.raises(ValueError):
             code_from_dict({"q": 12, "n": 2, "words": [text]})
+    assert code_from_dict({"q": 12, "n": 2, "words": ["007,1"]}).sorted_words() == [(7, 1)]
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the kind of error it raised."""
+    try:
+        return fn(*args)
+    except TypeError:
+        return TypeError
+    except ValueError:
+        return ValueError
+
+
+def _random_word_lists(seed):
+    """Eight (space, words) pairs with random n <= 6 at each q of 2, 3, 10, 11, 12, 300."""
+    rng = random.Random(seed)
+    for q in (2, 3, 10, 11, 12, 300):
+        for _ in range(8):
+            sp = HammingSpace(q, rng.randint(0, 6))
+            size = rng.randint(0, 12)
+            yield sp, [tuple(rng.randrange(q) for _ in range(sp.n)) for _ in range(size)]
+
+
+def _text(word, q):
+    return ("" if q <= 10 else ",").join(map(str, word))
+
+
+def test_codec_matches_reference_parser():
+    cases = [{"q": sp.q, "n": sp.n, "words": [_text(w, sp.q) for w in words]}
+             for sp, words in _random_word_lists(71)]
+    cases += [{"q": 2, "n": 3, "words": ["000"] + words} for words in MALFORMED_Q2_N3]
+    cases += [{"q": q, "n": 3, "words": [_text(w, q) for w in ((0, 1, 2, 0), (0, 1))]}
+              for q in (3, 12)]  # ragged words with six symbols in all
+    cases += [{"q": 12, "n": 2, "words": ["0,0", text]}
+              for text in MALFORMED_Q12_N2 + [OVERSIZED_SYMBOL, "007,1", [7, 1], 7]]
+    cases += [{"q": q, "n": 0, "words": words} for q in (2, 12) for words in ([""], ["", ""], [])]
+    cases += [{"q": q, "n": 0, "words": ["0"]} for q in (2, 12)]
+    accepted = 0
+    for obj in cases:
+        want = _outcome(reference_code_from_dict, obj)
+        assert _outcome(code_from_dict, obj) == want, obj
+        accepted += isinstance(want, Code)
+    assert 50 < accepted < len(cases)  # both verdicts were exercised
+
+
+def test_from_words_matches_reference():
+    cases = list(_random_word_lists(72))
+    sp = HammingSpace(3, 3)
+    cases += [
+        (HammingSpace(2, 1), ("0", "0", "1")),  # strings are not symbols
+        (sp, [("0", "0", "1")]),
+        (sp, [(0, 1, 2), (0, 1)]),  # ragged rows
+        (sp, [(0, 1, 2, 0), (0, 1)]),  # six symbols, as two words would have
+        (sp, [(0, 1, 3)]),
+        (sp, [(1, -1, 2)]),  # its mixed-radix value is a valid index
+        (sp, [(0, 10**30, 2)]),
+        (sp, []),
+    ]
+    for space, words in cases:
+        want = _outcome(reference_from_words, space, words)
+        assert _outcome(Code.from_words, space, words) == want, (space, words)
+
+
+def test_code_dict_round_trip():
+    for sp, words in _random_word_lists(73):
+        code = Code.from_words(sp, words)
+        obj = code_to_dict(code)
+        assert obj["words"] == [_text(w, sp.q) for w in code.sorted_words()]
+        assert code_from_dict(obj) == code
 
 
 def test_space_too_large_to_index():
@@ -224,14 +303,14 @@ def test_sampled_never_contradicts_exhaustive():
 
 
 def test_density_examples():
-    assert density(make_code(2, 3, [(0, 0, 0), (1, 1, 1)]), 1).exact == 1
+    assert density(make_code(2, 3, [(0, 0, 0), (1, 1, 1)]), 1) == 1
     sp = HammingSpace(2, 3)
     whole = Code.from_words(sp, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
-    assert density(whole, 0).exact == 1
+    assert density(whole, 0) == 1
     code = make_code(2, 4, COVER_2_4_1)
     assert verify_covering(code, 1).covered
-    assert density(code, 1).exact == Fraction(5, 4)
-    assert abs(density(code, 1).approx - 1.25) < 1e-12
+    assert density(code, 1) == Fraction(5, 4) and type(density(code, 1)) is Fraction
+    assert abs(float(density(code, 1)) - 1.25) < 1e-12
 
 
 def test_sphere_covering_lower_bound():
@@ -252,7 +331,7 @@ def test_covered_codes_have_density_at_least_one():
         code = Code.from_words(sp, words)
         if verify_covering(code, radius).covered:
             hits += 1
-            assert density(code, radius).exact >= 1
+            assert density(code, radius) >= 1
             assert len(code) >= sphere_covering_lower_bound(sp, radius)
     assert hits > 5  # the sweep actually exercised covered codes
 

@@ -137,7 +137,7 @@ def test_construct_trivial_when_radius_swallows_space():
     sp = HammingSpace(3, 2)
     code, trace = recursive_construct(sp, 3, x=4.0, y=2.0)
     assert code.sorted_words() == [(0, 0)]
-    assert trace.density.exact == 1  # ball of radius >= n is the whole space
+    assert trace.density == 1  # ball of radius >= n is the whole space
     assert trace.base.method == "trivial" and trace.levels == []
 
 

@@ -39,6 +39,10 @@ CONSTRUCT_POINTS = [
     (2, 16, 3, 2.0, 0.5, "auto", 1,
      "70109e1b4431676877c004042ff5782e273413242f39a2d87082fc537c1a1e06",
      "64cd10f4ca804fdd24cbf4cc71c9b317cb65dbdd901336c65e37d526259b53be"),
+    # q > 10: words are written comma-separated
+    (12, 4, 1, 2.0, 0.3, "auto", 5,
+     "9d5ac847c4a976e3befddda7e1304fcc821cc17258c2b907a89be251d5255acf",
+     "c9b34c324bf8bda80f2aa792902a2056f676ef7535094a5a680e24282b15ae2f"),
 ]
 
 SOLVE_POINTS = [

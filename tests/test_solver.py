@@ -131,7 +131,7 @@ def test_radius_zero_needs_whole_space():
     sp = HammingSpace(2, 3)
     res = minimal_covering_code(sp, 0)
     assert res.optimal_size == 8
-    assert res.density.exact == 1
+    assert res.density == 1
 
 
 def test_radius_at_least_n_needs_one_word():
@@ -192,7 +192,7 @@ def test_guard_rejects_large_spaces():
 def test_minimal_density_values():
     for q, n, radius, want in [(2, 3, 1, 1), (3, 4, 4, 1), (2, 5, 1, Fraction(21, 16))]:
         res = minimal_covering_code(HammingSpace(q, n), radius)  # (3, 4, 4): radius = n
-        assert res.status == "optimal" and res.density.exact == want
+        assert res.status == "optimal" and res.density == want
     # an unproved incumbent's density is not the minimal density
     res = minimal_covering_code(HammingSpace(2, 9), 1, node_budget=50)
     assert res.status == "budget_exceeded"
@@ -200,7 +200,7 @@ def test_minimal_density_values():
 
 def test_solver_density_matches_code():
     res = minimal_covering_code(HammingSpace(2, 4), 1)
-    assert res.density.exact == density(res.code, 1).exact == Fraction(5, 4)
+    assert res.density == density(res.code, 1) == Fraction(5, 4)
 
 
 def test_deterministic_across_runs():
