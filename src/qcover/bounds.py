@@ -75,9 +75,13 @@ def _ratio_pow(y: float, k: int) -> float:
         return math.inf
 
 
-def _bound_factored(R: int, x: float, y: float) -> float:
+def _feasibility_tail(R: int, x: float, y: float) -> float:
     # 1 + 1/(e^x * y^-R - 1), with the denominator through expm1
-    return x * _ratio_pow(y, R) * (1.0 + 1.0 / math.expm1(x - R * math.log(y)))
+    return 1.0 + 1.0 / math.expm1(x - R * math.log(y))
+
+
+def _bound_factored(R: int, x: float, y: float) -> float:
+    return x * _ratio_pow(y, R) * _feasibility_tail(R, x, y)
 
 
 def _bound_geometric(R: int, x: float, y: float) -> float:
@@ -108,7 +112,7 @@ def nested_parametric_bound(p: BoundParams) -> float:
     require_feasible(p.R, p.x, p.y)
     inv_binom = 1.0 / math.comb(p.R, r1)
     y_pow = p.y**r1
-    tail = 1.0 + 1.0 / math.expm1(p.x - p.R * math.log(p.y))
+    tail = _feasibility_tail(p.R, p.x, p.y)
     return p.x * inv_binom * y_pow * _ratio_pow(p.y, p.R - r1) * tail * mu
 
 

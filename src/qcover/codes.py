@@ -220,9 +220,11 @@ def code_to_dict(code: Code) -> dict:
 
 
 def code_from_dict(obj: dict) -> Code:
-    """Parse a code file's object; a word that is not a string raises TypeError."""
+    """Parse a code file's object; ``words`` that is not a list of strings raises TypeError."""
     space = HammingSpace(obj["q"], obj["n"])
-    texts = list(obj["words"])
+    texts = obj["words"]
+    if not isinstance(texts, list):  # a string would be read one character per word
+        raise TypeError(f"words must be a list of strings, got {type(texts).__name__}")
     if space.q <= 10:
         # "".join raises TypeError on a non-string word. One byte per character:
         # a non-ASCII one encodes as "?", which lies above "9" like every

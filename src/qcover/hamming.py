@@ -140,6 +140,28 @@ def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inner_length(q: int, n: int) -> int:
+    """Largest k <= n with q^k <= 64: the coordinates one uint64 holds as bits."""
+    k = 0
+    while k < n and q ** (k + 1) <= 64:
+        k += 1
+    return k
+
+
+def _symbol_blocks(q: int, k: int) -> list:
+    """blocks[t][c]: the bits of a q^k-position word whose digit t (stride q^t) is c.
+
+    Bits at positions q^k and above are padding and lie in no block.
+    """
+    blocks = []
+    for t in range(k):
+        per_symbol = [0] * q
+        for p in range(q**k):
+            per_symbol[p // q**t % q] |= 1 << p
+        blocks.append([np.uint64(b) for b in per_symbol])
+    return blocks
+
+
 def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> np.ndarray:
     """Grow membership masks over word indices by ``radius`` Hamming steps.
 
@@ -148,18 +170,47 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
     one bit per word). One step ORs each word's value into every word
     differing from it in exactly one coordinate (any replacement symbol), so
     ``radius`` steps mark the union of the radius-``radius`` balls around the
-    original members, bit by bit. Runs as n OR-reductions per step on the
-    mask reshaped to a (q, ..., q, *payload) grid.
+    original members, bit by bit. The result has the mask's shape and dtype.
+
+    A boolean mask is packed first: its trailing k coordinates (the largest
+    k <= n with q^k <= 64) become the low q^k bits of one uint64, so a step
+    along one of them is shift-and-mask within the word. The other n - k
+    coordinates are axes of a (q, ..., q, *payload) grid and a step along
+    one is an OR-reduction over that axis. Payload masks, and boolean masks
+    with q > 64, run the same loop with k = 0.
     """
     check_radius(radius)
     if mask.shape[:1] != (space.size,):
         raise ValueError(f"mask must have shape ({space.size}, ...), got {mask.shape}")
     if radius == 0 or space.n == 0:
         return mask.copy()
-    grid = mask.reshape((space.q,) * space.n + mask.shape[1:])
-    for _ in range(min(radius, space.n)):
+    q, n = space.q, space.n
+    k = _inner_length(q, n) if mask.dtype == bool else 0
+    width = q**k
+    if k:
+        bits = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")
+        packed = np.zeros((len(bits), 8), dtype=np.uint8)
+        packed[:, : bits.shape[1]] = bits
+        grid = packed.view("<u8").reshape((q,) * (n - k))
+    else:
+        grid = mask.reshape((q,) * n + mask.shape[1:])
+    blocks = _symbol_blocks(q, k)
+    for _ in range(min(radius, n)):
         out = grid.copy()
-        for axis in range(space.n):
+        for axis in range(n - k):
             out |= np.bitwise_or.reduce(grid, axis=axis, keepdims=True)
+        for t in range(k):
+            # OR the q symbol blocks of digit t into block 0, then copy it back out
+            stride = q**t
+            low = grid & blocks[t][0]
+            for c in range(1, q):
+                low |= (grid & blocks[t][c]) >> np.uint64(c * stride)
+            out |= low
+            for c in range(1, q):
+                out |= low << np.uint64(c * stride)
         grid = out
-    return grid.reshape(mask.shape)
+    if not k:
+        return grid.reshape(mask.shape)
+    # count=width drops the padding bits above q^k
+    bits = np.unpackbits(grid.reshape(-1, 1).view(np.uint8), axis=1, count=width, bitorder="little")
+    return bits.view(bool).reshape(mask.shape)

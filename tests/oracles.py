@@ -98,6 +98,17 @@ def enumerate_ball(space, center, radius):
                 yield tuple(w)
 
 
+def ball_union(space, members, radius):
+    """Indices of the words within ``radius`` of some member index, ball by ball.
+
+    Each member's ball comes from :func:`enumerate_ball`; the baseline the
+    library's radius-expansion kernel is checked against.
+    """
+    words = list(enumerate_space(space))
+    index = {w: i for i, w in enumerate(words)}
+    return frozenset(index[w] for i in members for w in enumerate_ball(space, words[i], radius))
+
+
 def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
     """Test every word against every codeword, as a ``CoverVerdict``.
 
@@ -121,11 +132,14 @@ def reference_from_words(space, words):
 def reference_code_from_dict(obj):
     """The per-word code-file parser the library's digit-matrix codec replaced.
 
-    Each word must be a string. It splits into symbols by character for
-    q <= 10 and on commas otherwise; every symbol must be ASCII decimal
-    digits, and the tuple of their values must be a word of the space.
+    ``words`` must be a list and each word a string. A word splits into
+    symbols by character for q <= 10 and on commas otherwise; every symbol
+    must be ASCII decimal digits, and the tuple of their values must be a
+    word of the space.
     """
     space = HammingSpace(obj["q"], obj["n"])
+    if not isinstance(obj["words"], list):
+        raise TypeError(f"code words must be a list, got {obj['words']!r}")
     words = []
     for text in obj["words"]:
         if not isinstance(text, str):

@@ -143,6 +143,16 @@ def test_malformed_words_exit_two(tmp_path, capsys):
         assert status == 2 and "cannot read" in err, words
 
 
+def test_words_not_a_list_exits_two(tmp_path, capsys):
+    # a string of words is not read one character per word: "0101" is not
+    # the covering code {0, 1} of [2]^1
+    path = tmp_path / "bad.json"
+    for words in ("0101", "", {"0": 1}, 5):
+        path.write_text(json.dumps({"q": 2, "n": 1, "words": words}))
+        status, out, err = run(capsys, "verify", "--code", str(path), "--R", "0")
+        assert status == 2 and "cannot read" in err and out == "", words
+
+
 def test_negative_radius_exits_three(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"q": 2, "n": 3, "words": ["000", "111"]}))

@@ -28,6 +28,7 @@ from qcover.hamming import expand_within_radius
 from oracles import (
     brute_distance,
     brute_is_covering,
+    enumerate_space,
     reference_code_from_dict,
     reference_from_words,
     verify_covering_scan,
@@ -143,6 +144,7 @@ def test_codec_matches_reference_parser():
               for text in MALFORMED_Q12_N2 + [OVERSIZED_SYMBOL, "007,1", [7, 1], 7]]
     cases += [{"q": q, "n": 0, "words": words} for q in (2, 12) for words in ([""], ["", ""], [])]
     cases += [{"q": q, "n": 0, "words": ["0"]} for q in (2, 12)]
+    cases += [{"q": 2, "n": 1, "words": words} for words in ("0101", "", {"0": 1}, 5, None)]
     accepted = 0
     for obj in cases:
         want = _outcome(reference_code_from_dict, obj)
@@ -243,6 +245,19 @@ def test_adding_words_preserves_covering():
         extra = tuple(rng.randrange(2) for _ in range(5))
         grown = Code.from_words(sp, [*code.sorted_words(), extra])
         assert verify_covering(grown, 2).covered
+
+
+@pytest.mark.parametrize("n,radius", [(2, 1), (5, 1), (5, 2), (7, 2)])
+def test_witness_is_the_last_word_next_to_padding(n, radius):
+    # q=3 packs 27 words into each uint64 and leaves 37 padding bits, so the
+    # space's last word sits just below a run of padding. The code holds
+    # every word farther than ``radius`` from it, which covers all others.
+    sp = HammingSpace(3, n)
+    last = (2,) * n
+    code = Code.from_words(sp, [w for w in enumerate_space(sp) if brute_distance(w, last) > radius])
+    assert coverage_mask(code, radius).sum() == sp.size - 1
+    verdict = verify_covering(code, radius)
+    assert not verdict.covered and verdict.witness == last
 
 
 def test_verify_empty_code():

@@ -81,6 +81,17 @@ def test_dominating_partial_hamming_example():
         assert np.all(idx[1:] > idx[:-1])
 
 
+@pytest.mark.parametrize("q,n,radius,x", [(2, 5, 1, 2.0), (3, 4, 1, 2.0), (5, 3, 1, 2.0), (3, 5, 2, 1.5)])
+def test_dominating_partial_nbar_beside_padding(q, n, radius, x):
+    # q^n is not a multiple of 64, so the packed expansion's last uint64
+    # holds padding bits, which must never show up in N_bar
+    sp = HammingSpace(q, n)
+    assert sp.size % 64
+    for seed in range(5):
+        res = dominating_partial(sp, radius, x, seed=seed)
+        assert frozenset(res.N_bar.tolist()) == nbar_of(sp, radius, res.X.tolist())
+
+
 def test_dominating_partial_deterministic():
     sp = HammingSpace(2, 7)
     a = dominating_partial(sp, 1, 2.0, seed=99)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcover import (
     HammingSpace,
@@ -16,7 +18,7 @@ from qcover import (
 )
 from qcover.hamming import expand_within_radius
 
-from oracles import brute_ball_count, brute_distance, enumerate_ball, enumerate_space
+from oracles import ball_union, brute_ball_count, brute_distance, enumerate_ball, enumerate_space
 
 
 def test_space_validation():
@@ -138,6 +140,61 @@ def test_expand_payload_bits_expand_independently():
             for b in range(8):
                 want = expand_within_radius(sp, bits[:, j, b].copy(), radius)
                 assert np.array_equal(got_bits[:, j, b], want), (q, n, radius, j, b)
+
+
+def _check_expansion(sp, mask, radius):
+    before = mask.copy()
+    got = expand_within_radius(sp, mask, radius)
+    assert np.array_equal(mask, before)
+    assert got.dtype == bool and got.shape == mask.shape
+    want = ball_union(sp, np.flatnonzero(mask).tolist(), radius)
+    assert set(np.flatnonzero(got).tolist()) == want, (sp, radius)
+
+
+# A boolean mask packs its trailing k coordinates into one uint64, k the
+# largest k <= n with q^k <= 64. The shapes put n below, at and above k for
+# each q, and cover n = 0 and both sides of the k = 1 / k = 0 boundary.
+KERNEL_SHAPES = [
+    (2, 0), (2, 3), (2, 6), (2, 9),
+    (3, 0), (3, 2), (3, 3), (3, 5),
+    (4, 2), (4, 3), (4, 4),
+    (5, 1), (5, 2), (5, 3),
+    (7, 1), (7, 2), (7, 3),
+    (64, 2), (65, 2), (128, 2),
+]
+
+
+@pytest.mark.parametrize("q,n", KERNEL_SHAPES)
+def test_expand_matches_ball_oracle(q, n):
+    sp = HammingSpace(q, n)
+    rng = np.random.default_rng(100 * q + n)
+    for radius in sorted({0, 1, 2, n, n + 1}):
+        # the first and last words, next to the ends of the packed range,
+        # and random members, capped so the oracle enumerates <= 20000 words
+        members = rng.choice(sp.size, max(1, min(sp.size // 4, 20000 // ball_volume(sp, radius))))
+        for chosen in ([], [0], [sp.size - 1], members):
+            mask = np.zeros(sp.size, dtype=bool)
+            mask[chosen] = True
+            _check_expansion(sp, mask, radius)
+
+
+@st.composite
+def _spaces(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 64, 65, 128]))
+    n = draw(st.integers(0, max(n for n in range(9) if q**n <= 256)))
+    return HammingSpace(q, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sp=_spaces(),
+    radius=st.integers(0, 9),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expand_matches_ball_oracle_random(sp, radius, density, seed):
+    mask = np.random.default_rng(seed).random(sp.size) < density
+    _check_expansion(sp, mask, radius)
 
 
 def test_expand_rejects_wrong_leading_length():
