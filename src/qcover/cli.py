@@ -25,9 +25,9 @@ from typing import List, Optional
 from . import bounds
 from .codes import (
     Code,
-    digits_to_texts,
     dumps_code,
     read_code,
+    render_words,
     verify_covering,
     verify_covering_sampled,
 )
@@ -110,7 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if verdict.covered:
             print("covered")
             return EXIT_OK
-    print(f"uncovered: witness {digits_to_texts([verdict.witness], code.space.q)[0]}")
+    print(f"uncovered: witness {render_words([verdict.witness], code.space.q)}")
     return EXIT_COUNTEREXAMPLE
 
 

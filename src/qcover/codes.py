@@ -3,8 +3,10 @@
 A code is a sorted array of distinct word indices in one Hamming space.
 Every word that enters or leaves a code passes through one (k, n) digit
 matrix: the code-file parser and ``Code.from_words`` split words into
-symbols and share one membership check, and :func:`digits_to_texts`
-renders the matrix. A density is an exact ``Fraction``.
+symbols and share one membership check, and :func:`render_words` is the one
+renderer of word texts. A code file is rendered directly, its words in one
+buffer, byte for byte as ``json.dumps(..., sort_keys=True, indent=2)`` would
+write it; ``json`` only reads code files. A density is an exact ``Fraction``.
 Exhaustive covering verification runs the vectorized radius-expansion
 kernel over the whole space. Sampled verification spot-checks random words
 on spaces too large to enumerate.
@@ -181,7 +183,8 @@ def verify_covering_sampled(
 # Code file format: {"q": int, "n": int, "words": [str, ...]} with words as
 # digit strings for q <= 10 and comma-separated integers otherwise, every
 # symbol in ASCII decimal digits. The serialized form is canonical: sorted
-# keys, words in lexicographic order.
+# keys, 2-space indent, one word per line in lexicographic order, and a
+# trailing newline.
 # ---------------------------------------------------------------------------
 
 
@@ -203,20 +206,44 @@ def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -
     return Code(space, unique_indices(digits_to_indices(space, digits)))
 
 
-def digits_to_texts(digits, q: int) -> List[str]:
-    """Render a (k, n) digit matrix, or a list of words, as code-file word texts."""
-    if q > 10:
-        return [",".join(map(str, row)) for row in np.asarray(digits).tolist()]
-    digits = np.asarray(digits, dtype=np.uint8)
-    n = digits.shape[1]
-    text = (digits + ord("0")).tobytes().decode("ascii")
-    return [text[i * n : (i + 1) * n] for i in range(len(digits))]
+def render_words(digits, q: int, sep: str = "") -> str:
+    """``sep.join`` of the code-file texts of the rows of a (k, n) digit matrix.
+
+    A word's text is its digits for q <= 10 and its symbols in decimal
+    joined by commas otherwise. Every row is laid out as its text and
+    ``sep`` in one fixed-width uint8 buffer (for q > 10 a mask then drops
+    each symbol's leading zeros and each word's last comma), and the buffer
+    is decoded once, without its final ``sep``: no string is made per word.
+    """
+    digits = np.asarray(digits)
+    k, n = digits.shape
+    wide = q > 10
+    cell = len(str(q - 1)) + 1 if wide else 1  # columns per symbol: its digits, then a comma
+    buf = np.empty((k, n * cell + len(sep)), np.uint8)
+    buf[:, n * cell :] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    cells = buf[:, : n * cell].reshape(k, n, cell)
+    if not wide:
+        cells[:, :, 0] = digits + ord("0")
+        text = buf.reshape(-1)
+    else:
+        keep = np.ones(buf.shape, bool)
+        kept = keep[:, : n * cell].reshape(k, n, cell)
+        symbols = digits.astype(np.uint64)
+        for c in range(cell - 1):
+            power = 10 ** (cell - 2 - c)
+            cells[:, :, c] = symbols // power % 10 + ord("0")
+            if power > 1:
+                kept[:, :, c] = symbols >= power  # False at a leading zero
+        cells[:, :, -1] = ord(",")
+        kept[:, n - 1 :, -1] = False  # the last symbol, if any, takes no comma
+        text = buf[keep]
+    return str(text[: text.size - len(sep)], "ascii")
 
 
 def code_to_dict(code: Code) -> dict:
     sp = code.space
-    words = digits_to_texts(indices_to_digits(sp, code.indices), sp.q)
-    return {"q": sp.q, "n": sp.n, "words": words}
+    texts = render_words(indices_to_digits(sp, code.indices), sp.q, "\n")
+    return {"q": sp.q, "n": sp.n, "words": texts.split("\n") if len(code) else []}
 
 
 def code_from_dict(obj: dict) -> Code:
@@ -241,7 +268,18 @@ def code_from_dict(obj: dict) -> Code:
 
 
 def dumps_code(code: Code) -> str:
-    return json.dumps(code_to_dict(code), sort_keys=True, indent=2) + "\n"
+    """The canonical code file, rendered directly.
+
+    Byte for byte ``json.dumps(code_to_dict(code), sort_keys=True, indent=2)``
+    plus a newline: a fixed header, the words from one :func:`render_words`
+    call, and the closing lines.
+    """
+    sp = code.space
+    head = f'{{\n  "n": {sp.n},\n  "q": {sp.q},\n  "words": ['
+    if not len(code):
+        return head + "]\n}\n"
+    words = render_words(indices_to_digits(sp, code.indices), sp.q, '",\n    "')
+    return f'{head}\n    "{words}"\n  ]\n}}\n'
 
 
 def read_code(path) -> Code:

@@ -132,18 +132,34 @@ def digits_to_indices(space: HammingSpace, digits: np.ndarray) -> np.ndarray:
 
 
 def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`index_word`: a (k, n) matrix of the smallest unsigned dtype holding q-1."""
-    out = np.empty((len(indices), space.n), dtype=np.min_scalar_type(space.q - 1))
+    """Row-wise :func:`index_word`: a (k, n) matrix of the smallest unsigned dtype holding q-1.
+
+    Each index splits into limbs of m digits with q^m < 2^32 (one digit per
+    limb when q is larger), whose digits come from 32-bit arithmetic. Digits
+    are written a coordinate at a time, so the matrix is the transpose of a
+    contiguous (n, k) array.
+    """
+    q, n = space.q, space.n
+    m = max(1, _max_length(q, n, (1 << 32) - 1))
+    limb_dtype = np.uint32 if q**m < 1 << 32 else np.uint64
+    out = np.empty((n, len(indices)), dtype=np.min_scalar_type(q - 1))
     rest = np.array(indices, dtype=np.int64)
-    for j in range(space.n - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, space.q)
-    return out
+    for stop in range(n, 0, -m):
+        start = max(stop - m, 0)
+        high = rest // q ** (stop - start)
+        limb = (rest - high * q ** (stop - start)).astype(limb_dtype)
+        rest = high
+        for j in range(stop - 1, start - 1, -1):
+            high = limb // q
+            out[j] = limb - high * q
+            limb = high
+    return out.T
 
 
-def _inner_length(q: int, n: int) -> int:
-    """Largest k <= n with q^k <= 64: the coordinates one uint64 holds as bits."""
+def _max_length(q: int, n: int, limit: int) -> int:
+    """Largest k <= n with q^k <= limit."""
     k = 0
-    while k < n and q ** (k + 1) <= 64:
+    while k < n and q ** (k + 1) <= limit:
         k += 1
     return k
 
@@ -185,7 +201,7 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
     if radius == 0 or space.n == 0:
         return mask.copy()
     q, n = space.q, space.n
-    k = _inner_length(q, n) if mask.dtype == bool else 0
+    k = _max_length(q, n, 64) if mask.dtype == bool else 0
     width = q**k
     if k:
         bits = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")

@@ -7,6 +7,7 @@ earlier, plainer forms of two library algorithms, so their fast forms can
 be checked against them choice for choice and node for node.
 """
 
+import json
 import math
 import sys
 import time
@@ -149,6 +150,18 @@ def reference_code_from_dict(obj):
             raise ValueError(f"{text!r} is not a word of [{space.q}]^{space.n}")
         words.append(tuple(int(p) for p in parts))
     return reference_from_words(space, words)
+
+
+def json_dumps_code(code):
+    """The code file as ``json``'s indenting encoder writes it, one word at a time.
+
+    Each word comes from :func:`index_word` and is joined by hand; the
+    layout the library's direct renderer must reproduce byte for byte.
+    """
+    sp = code.space
+    sep = "" if sp.q <= 10 else ","
+    words = [sep.join(map(str, index_word(sp, int(i)))) for i in code.indices]
+    return json.dumps({"q": sp.q, "n": sp.n, "words": words}, sort_keys=True, indent=2) + "\n"
 
 
 def ball_masks(q, n, radius):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcover import (
     Code,
@@ -29,6 +31,7 @@ from oracles import (
     brute_distance,
     brute_is_covering,
     enumerate_space,
+    json_dumps_code,
     reference_code_from_dict,
     reference_from_words,
     verify_covering_scan,
@@ -381,3 +384,43 @@ def test_code_file_format_large_alphabet(tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(dumps_code(code))
     assert read_code(path) == code
+
+
+def test_written_code_files_read_back(tmp_path):
+    """read_code inverts dumps_code, and re-dumping what it read gives the same bytes."""
+    path = tmp_path / "code.json"
+    for sp, words in _random_word_lists(74):  # digit and comma word formats
+        code = Code.from_words(sp, words)
+        path.write_text(dumps_code(code))
+        again = read_code(path)
+        assert again == code, (sp, words)
+        assert dumps_code(again).encode() == path.read_bytes()
+
+
+@st.composite
+def _codes(draw):
+    sp = HammingSpace(draw(st.integers(2, 12)), draw(st.integers(0, 6)))
+    return Code(sp, sorted(draw(st.sets(st.integers(0, sp.size - 1), max_size=40))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=_codes())
+def test_dumps_code_matches_json_encoder(code):
+    assert dumps_code(code) == json_dumps_code(code)
+
+
+@pytest.mark.parametrize("q,n,indices", [
+    (3, 4, []),  # "words": []
+    (12, 2, []),
+    (2, 0, [0]),  # the point code: [""]
+    (12, 0, [0]),
+    (10, 3, [0, 9, 10, 99, 999]),
+    (11, 3, [0, 10, 11, 120, 1330]),  # one- and two-digit symbols
+    (12, 3, [0, 11, 12, 143, 1727]),
+    (300, 2, [0, 9, 10, 99, 100, 299, 89999]),  # three-digit symbols
+    (2, 62, [0, 2**31, 2**32 - 1, 2**62 - 1]),
+    (2**62, 1, [0, 9, 10**18, 2**62 - 1]),  # nineteen-digit symbols
+])
+def test_dumps_code_matches_json_encoder_at_edges(q, n, indices):
+    code = Code(HammingSpace(q, n), indices)
+    assert dumps_code(code) == json_dumps_code(code)

@@ -16,7 +16,7 @@ from qcover import (
     index_word,
     word_index,
 )
-from qcover.hamming import expand_within_radius
+from qcover.hamming import expand_within_radius, indices_to_digits
 
 from oracles import ball_union, brute_ball_count, brute_distance, enumerate_ball, enumerate_space
 
@@ -195,6 +195,21 @@ def _spaces(draw):
 def test_expand_matches_ball_oracle_random(sp, radius, density, seed):
     mask = np.random.default_rng(seed).random(sp.size) < density
     _check_expansion(sp, mask, radius)
+
+
+@pytest.mark.parametrize("q,n", [
+    (2, 0), (2, 1), (2, 31), (2, 32), (2, 62),  # one limb, one full limb and one more digit, two
+    (3, 20), (3, 39), (10, 18),
+    (65535, 3), (65536, 3), (2**31, 2),  # two digits per limb, then one
+    (2**32 - 1, 1), (2**32, 1), (2**62, 1),  # 32-bit and 64-bit limbs of one digit
+])
+def test_indices_to_digits_matches_index_word(q, n):
+    sp = HammingSpace(q, n)
+    rng = random.Random(q * 100 + n)
+    indices = sorted({0, sp.size - 1} | {rng.randrange(sp.size) for _ in range(50)})
+    digits = indices_to_digits(sp, np.array(indices, dtype=np.int64))
+    assert digits.shape == (len(indices), n) and digits.dtype == np.min_scalar_type(q - 1)
+    assert [tuple(row) for row in digits.tolist()] == [index_word(sp, i) for i in indices]
 
 
 def test_expand_rejects_wrong_leading_length():
