@@ -19,7 +19,6 @@ from .codes import (
     code_to_dict,
     density,
     read_code,
-    sphere_covering_lower_bound,
     verify_covering,
     verify_covering_sampled,
 )
@@ -27,7 +26,6 @@ from .construct import (
     ConstructionTrace,
     DominationResult,
     dominating_partial,
-    greedy_ball_cover,
     recursive_construct,
 )
 from .errors import (
@@ -44,6 +42,6 @@ from .hamming import (
     index_word,
     word_index,
 )
-from .solver import EXACT_SOLVER_GUARD, SolveResult, minimal_covering_code
+from .solver import EXACT_SOLVER_GUARD, SolveResult, greedy_ball_cover, minimal_covering_code
 
 __version__ = "0.1.0"

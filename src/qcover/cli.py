@@ -278,7 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DominationFailure as exc:
         print(f"error: construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except (InfeasibleParamsError, SpaceTooLargeError, ValueError) as exc:
+    except ValueError as exc:  # InfeasibleParamsError and SpaceTooLargeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

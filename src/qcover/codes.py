@@ -1,15 +1,15 @@
 """Covering codes: membership, covering verification, exact density, file I/O.
 
-A code is a sorted array of distinct word indices in one Hamming space.
-Every word that enters or leaves a code passes through one (k, n) digit
-matrix: the code-file parser and ``Code.from_words`` split words into
-symbols and share one membership check, and :func:`render_words` is the one
-renderer of word texts. A code file is rendered directly, its words in one
-buffer, byte for byte as ``json.dumps(..., sort_keys=True, indent=2)`` would
-write it; ``json`` only reads code files. A density is an exact ``Fraction``.
-Exhaustive covering verification runs the vectorized radius-expansion
-kernel over the whole space. Sampled verification spot-checks random words
-on spaces too large to enumerate.
+A code is a sorted array of distinct word indices in one Hamming space;
+words cross this module only as indices or as a (k, n) digit matrix. The
+code-file parser splits word texts into such a matrix and checks its
+membership once, and :func:`render_words` is the one renderer of word
+texts. A code file is rendered directly, byte for byte as
+``json.dumps(..., sort_keys=True, indent=2)`` would write it; ``json`` only
+reads code files. A density is an exact ``Fraction``. Exhaustive covering
+verification asks :func:`~qcover.hamming.uncovered_indices` for the words
+the code misses. Sampled verification spot-checks random words on spaces
+too large to enumerate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .hamming import (
     ball_volume,
     check_radius,
     digits_to_indices,
-    expand_within_radius,
     index_word,
     indices_to_digits,
+    uncovered_indices,
 )
 
 
@@ -48,8 +48,8 @@ class Code:
 
     ``indices`` is a read-only, strictly increasing int64 array of
     lexicographic word indices (see :func:`~qcover.hamming.word_index`), so
-    index order is word order and duplicates cannot occur. Tuples appear only
-    in :meth:`from_words` and :meth:`sorted_words`.
+    index order is word order and duplicates cannot occur. Word texts enter
+    through :func:`code_from_dict` and leave through :func:`render_words`.
     """
 
     space: HammingSpace
@@ -61,7 +61,7 @@ class Code:
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise TypeError(
-                "Code indices must be a 1-D integer array; use Code.from_words for words"
+                "Code indices must be a 1-D integer array; use code_from_dict for words"
             )
         idx = idx.astype(np.int64)  # a private copy the code owns
         if idx.size and (idx[0] < 0 or idx[-1] >= sp.size or np.any(idx[1:] <= idx[:-1])):
@@ -71,12 +71,6 @@ class Code:
             )
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_words(cls, space: HammingSpace, words: Iterable[Sequence[int]]) -> "Code":
-        """Build a code from word tuples in any order; duplicates collapse."""
-        rows = [tuple(w) for w in words]
-        return _words_code(space, rows, np.array([s for row in rows for s in row]), map(len, rows))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -89,10 +83,6 @@ class Code:
     def __hash__(self) -> int:
         return hash((self.space, self.indices.tobytes()))
 
-    def sorted_words(self) -> List[Word]:
-        """The codewords as tuples in lexicographic order."""
-        return [tuple(row) for row in indices_to_digits(self.space, self.indices).tolist()]
-
 
 def density(code: Code, radius: int) -> Fraction:
     """Exact covering density |K| * V_q(n,R) / q^n."""
@@ -103,12 +93,6 @@ def density(code: Code, radius: int) -> Fraction:
 def density_to_dict(value: Fraction) -> dict:
     """The JSON form of a density: exact numerator and denominator plus a float."""
     return {"numerator": value.numerator, "denominator": value.denominator, "approx": float(value)}
-
-
-def sphere_covering_lower_bound(space: HammingSpace, radius: int) -> int:
-    """ceil(q^n / V_q(n,R)): no covering code of this radius can be smaller."""
-    v = ball_volume(space, radius)
-    return -(-space.size // v)
 
 
 @dataclass(frozen=True)
@@ -136,20 +120,13 @@ class SampleVerdict:
     samples: int
 
 
-def coverage_mask(code: Code, radius: int) -> np.ndarray:
-    """Boolean array over word indices marking words within ``radius`` of the code."""
-    mask = np.zeros(code.space.size, dtype=bool)
-    mask[code.indices] = True
-    return expand_within_radius(code.space, mask, radius)
-
-
 def verify_covering(
     code: Code, radius: int, *, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> CoverVerdict:
     """Exhaustively decide whether every word is within ``radius`` of the code."""
     sp = code.space
     sp.check_enumerable(guard)
-    holes = np.flatnonzero(~coverage_mask(code, radius))
+    holes = uncovered_indices(sp, code.indices, radius)
     if holes.size == 0:
         return CoverVerdict(True)
     return CoverVerdict(False, index_word(sp, int(holes[0])))
@@ -189,7 +166,7 @@ def verify_covering_sampled(
 
 
 def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -> Code:
-    """The code of ``words``, given their concatenated symbols and their symbol counts.
+    """The code of ``words``, given their concatenated unsigned symbols and their symbol counts.
 
     Raises ValueError naming the first word without exactly n symbols in [0, q).
     """
@@ -197,10 +174,7 @@ def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -
     bad = np.flatnonzero(np.fromiter(counts, dtype=np.int64, count=len(words)) != n)
     if not bad.size:
         digits = symbols.reshape(len(words), n)
-        out = digits >= q  # non-numeric symbols raise TypeError here
-        if digits.dtype.kind != "u":  # only Code.from_words passes signed symbols
-            out |= digits < 0
-        bad = np.flatnonzero(out.any(axis=1))
+        bad = np.flatnonzero((digits >= q).any(axis=1))
     if bad.size:
         raise ValueError(f"{words[bad[0]]!r} is not a word of [{q}]^{n}")
     return Code(space, unique_indices(digits_to_indices(space, digits)))
@@ -209,34 +183,18 @@ def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -
 def render_words(digits, q: int, sep: str = "") -> str:
     """``sep.join`` of the code-file texts of the rows of a (k, n) digit matrix.
 
-    A word's text is its digits for q <= 10 and its symbols in decimal
-    joined by commas otherwise. Every row is laid out as its text and
-    ``sep`` in one fixed-width uint8 buffer (for q > 10 a mask then drops
-    each symbol's leading zeros and each word's last comma), and the buffer
-    is decoded once, without its final ``sep``: no string is made per word.
+    A word's text is its digits for q <= 10, laid out with ``sep`` in one
+    uint8 buffer that is decoded once, and otherwise its decimal symbols
+    joined by commas, one word at a time.
     """
     digits = np.asarray(digits)
+    if q > 10:
+        return sep.join(",".join(map(str, row)) for row in digits.tolist())
     k, n = digits.shape
-    wide = q > 10
-    cell = len(str(q - 1)) + 1 if wide else 1  # columns per symbol: its digits, then a comma
-    buf = np.empty((k, n * cell + len(sep)), np.uint8)
-    buf[:, n * cell :] = np.frombuffer(sep.encode("ascii"), np.uint8)
-    cells = buf[:, : n * cell].reshape(k, n, cell)
-    if not wide:
-        cells[:, :, 0] = digits + ord("0")
-        text = buf.reshape(-1)
-    else:
-        keep = np.ones(buf.shape, bool)
-        kept = keep[:, : n * cell].reshape(k, n, cell)
-        symbols = digits.astype(np.uint64)
-        for c in range(cell - 1):
-            power = 10 ** (cell - 2 - c)
-            cells[:, :, c] = symbols // power % 10 + ord("0")
-            if power > 1:
-                kept[:, :, c] = symbols >= power  # False at a leading zero
-        cells[:, :, -1] = ord(",")
-        kept[:, n - 1 :, -1] = False  # the last symbol, if any, takes no comma
-        text = buf[keep]
+    buf = np.empty((k, n + len(sep)), np.uint8)
+    buf[:, :n] = digits + ord("0")
+    buf[:, n:] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    text = buf.reshape(-1)
     return str(text[: text.size - len(sep)], "ascii")
 
 

@@ -1,9 +1,9 @@
 """Covering-code constructions.
 
 Randomized partial dominating sets on the distance-<=R graph of a Hamming
-space, the lazy-greedy ball cover for base cases, and the recursive
-construction that splits [q]^n into a dominated prefix block and a
-recursively covered suffix block.
+space, and the recursive construction that splits [q]^n into a dominated
+prefix block and a recursively covered suffix block. Base cases are solved
+exactly or covered by the solver's lazy-greedy ball cover.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ import numpy as np
 from .bounds import floor_div_real, require_feasible
 from .codes import Code, density, density_to_dict, unique_indices
 from .errors import DominationFailure, InfeasibleParamsError
-from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
-from .solver import EXACT_SOLVER_GUARD, _ball_masks, _greedy_cover, minimal_covering_code
-
-#: Greedy full-space ball covers get their own, tighter guard: the ball
-#: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
-GREEDY_COVER_GUARD = 1 << 14
+from .hamming import HammingSpace, ball_volume, check_radius, uncovered_indices
+from .solver import EXACT_SOLVER_GUARD, greedy_ball_cover, minimal_covering_code
 
 #: Node budget of an exact base-case solve; past it the construction keeps
 #: the solver's incumbent and records the base as "exact-incumbent".
@@ -99,9 +95,7 @@ def dominating_partial(
     for trial in range(max_trials):
         rng = random.Random(f"dominate:{seed}:{trial}")
         X = rng.sample(range(m), size)
-        mask = np.zeros(m, dtype=bool)
-        mask[X] = True
-        n_bar = np.flatnonzero(~expand_within_radius(space, mask, radius))
+        n_bar = uncovered_indices(space, X, radius)
         if len(n_bar) <= threshold:
             return DominationResult(_index_array(X), _index_array(n_bar), trial + 1)
         best_miss = min(best_miss, len(n_bar))
@@ -109,19 +103,6 @@ def dominating_partial(
         f"no trial out of {max_trials} met |N_bar| <= {threshold} "
         f"(best attempt missed {best_miss})"
     )
-
-
-def greedy_ball_cover(space: HammingSpace, radius: int) -> Code:
-    """Greedy max-coverage over radius-``radius`` balls until the space is covered.
-
-    The solver's lazy-greedy cover over bitmask balls: stale gains are upper
-    bounds, so a popped candidate whose recomputed gain still tops the heap
-    is a true argmax; ties go to the smallest word index.
-    """
-    space.check_enumerable(GREEDY_COVER_GUARD)
-    v_ball = ball_volume(space, radius)
-    chosen = _greedy_cover(_ball_masks(space, radius), (1 << space.size) - 1, v_ball)
-    return Code(space, np.sort(chosen))
 
 
 # ---------------------------------------------------------------------------

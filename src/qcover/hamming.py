@@ -230,3 +230,14 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
     # count=width drops the padding bits above q^k
     bits = np.unpackbits(grid.reshape(-1, 1).view(np.uint8), axis=1, count=width, bitorder="little")
     return bits.view(bool).reshape(mask.shape)
+
+
+def uncovered_indices(space: HammingSpace, indices, radius: int) -> np.ndarray:
+    """Sorted int64 indices of the words farther than ``radius`` from every given index.
+
+    One :func:`expand_within_radius` call on the mask of ``indices``; empty
+    exactly when those words cover the space.
+    """
+    mask = np.zeros(space.size, dtype=bool)
+    mask[indices] = True
+    return np.flatnonzero(~expand_within_radius(space, mask, radius))

@@ -2,8 +2,8 @@
 
 Every word's radius-R ball is one big-int bitmask over word indices, built
 by a single call of the library's radius-expansion kernel on a bit-packed
-identity. A lazy-greedy cover over these masks gives the first incumbent;
-a deadline already passed after this set-up returns it with no search.
+identity. The lazy-greedy cover over these masks (:func:`greedy_ball_cover`)
+is the first incumbent; a deadline passed after this set-up returns it.
 
 The search branches on the lexicographically smallest uncovered word (any
 cover must contain a codeword in its ball) with counting-bound pruning,
@@ -37,6 +37,10 @@ from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radi
 
 #: Largest q**n the exact solver accepts by default.
 EXACT_SOLVER_GUARD = 1 << 12
+
+#: Greedy full-space ball covers get their own, tighter guard: the ball
+#: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
+GREEDY_COVER_GUARD = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,19 @@ def _greedy_cover(masks: List[int], full: int, v_ball: int) -> List[int]:
         chosen.append(cand)
         uncovered &= ~masks[cand]
     return chosen
+
+
+def greedy_ball_cover(space: HammingSpace, radius: int) -> Code:
+    """Greedy max-coverage over radius-``radius`` balls until the space is covered.
+
+    The lazy-greedy cover over the bitmask balls: stale gains are upper
+    bounds, so a popped candidate whose recomputed gain still tops the heap
+    is a true argmax; ties go to the smallest word index.
+    """
+    space.check_enumerable(GREEDY_COVER_GUARD)
+    v_ball = ball_volume(space, radius)
+    chosen = _greedy_cover(_ball_masks(space, radius), (1 << space.size) - 1, v_ball)
+    return Code(space, np.sort(chosen))
 
 
 def minimal_covering_code(

@@ -110,6 +110,16 @@ def ball_union(space, members, radius):
     return frozenset(index[w] for i in members for w in enumerate_ball(space, words[i], radius))
 
 
+def words_of(code):
+    """The codewords as tuples in lexicographic order, one :func:`index_word` each."""
+    return [index_word(code.space, int(i)) for i in code.indices]
+
+
+def sphere_covering_lower_bound(space, radius):
+    """ceil(q^n / V_q(n,R)): no covering code of this radius can be smaller."""
+    return -(-space.size // ball_volume(space, radius))
+
+
 def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
     """Test every word against every codeword, as a ``CoverVerdict``.
 
@@ -118,7 +128,7 @@ def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
     """
     check_radius(radius)
     sp = code.space
-    words = code.sorted_words()
+    words = words_of(code)
     for w in enumerate_space(sp, guard):
         if not any(brute_distance(w, c) <= radius for c in words):
             return CoverVerdict(False, w)
@@ -126,7 +136,7 @@ def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
 
 
 def reference_from_words(space, words):
-    """``Code.from_words`` one word at a time: ``require_word`` checks each tuple."""
+    """The code of word tuples in any order, one at a time: ``require_word`` checks each."""
     return Code(space, sorted({word_index(space, w) for w in words}))
 
 

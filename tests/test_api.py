@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "parametric_bound",
     "read_code",
     "recursive_construct",
-    "sphere_covering_lower_bound",
     "verify_covering",
     "verify_covering_sampled",
     "word_index",

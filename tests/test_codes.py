@@ -14,18 +14,16 @@ from qcover import (
     HammingSpace,
     SpaceTooLargeError,
     density,
-    sphere_covering_lower_bound,
     verify_covering,
     verify_covering_sampled,
 )
 from qcover.codes import (
     code_from_dict,
     code_to_dict,
-    coverage_mask,
     dumps_code,
     read_code,
 )
-from qcover.hamming import expand_within_radius
+from qcover.hamming import expand_within_radius, uncovered_indices
 
 from oracles import (
     brute_distance,
@@ -34,12 +32,14 @@ from oracles import (
     json_dumps_code,
     reference_code_from_dict,
     reference_from_words,
+    sphere_covering_lower_bound,
     verify_covering_scan,
+    words_of,
 )
 
 
 def make_code(q, n, words):
-    return Code.from_words(HammingSpace(q, n), words)
+    return reference_from_words(HammingSpace(q, n), words)
 
 
 # A valid optimal radius-1 cover of [2]^4 (the solver's canonical one).
@@ -50,7 +50,7 @@ def test_code_validation_and_dedup():
     code = make_code(2, 3, [(1, 1, 1), (0, 0, 0), (0, 0, 0), (1, 1, 1)])
     assert len(code) == 2
     assert code.indices.tolist() == [0, 7] and code.indices.dtype == np.int64
-    assert code.sorted_words() == [(0, 0, 0), (1, 1, 1)]
+    assert words_of(code) == [(0, 0, 0), (1, 1, 1)]
     assert code == make_code(2, 3, [(0, 0, 0), (1, 1, 1)])
     with pytest.raises(ValueError):
         make_code(2, 3, [(0, 0, 2)])
@@ -74,11 +74,11 @@ def test_code_rejects_bad_index_arrays():
 
 def test_empty_code_and_zero_length_words():
     empty = code_from_dict({"q": 3, "n": 4, "words": []})
-    assert len(empty) == 0 and empty.sorted_words() == []
+    assert len(empty) == 0 and words_of(empty) == []
     assert code_to_dict(empty) == {"q": 3, "n": 4, "words": []}
     sp0 = HammingSpace(2, 0)
     point = code_from_dict({"q": 2, "n": 0, "words": ["", ""]})
-    assert point.sorted_words() == [()] and point.indices.tolist() == [0]
+    assert words_of(point) == [()] and point.indices.tolist() == [0]
     assert code_to_dict(point)["words"] == [""]
     assert verify_covering(point, 0).covered
     assert not verify_covering(Code(sp0, []), 0).covered
@@ -110,7 +110,7 @@ def test_large_alphabet_rejects_malformed_words():
     for text in MALFORMED_Q12_N2 + [OVERSIZED_SYMBOL]:
         with pytest.raises(ValueError):
             code_from_dict({"q": 12, "n": 2, "words": [text]})
-    assert code_from_dict({"q": 12, "n": 2, "words": ["007,1"]}).sorted_words() == [(7, 1)]
+    assert words_of(code_from_dict({"q": 12, "n": 2, "words": ["007,1"]})) == [(7, 1)]
 
 
 def _outcome(fn, *args):
@@ -156,41 +156,23 @@ def test_codec_matches_reference_parser():
     assert 50 < accepted < len(cases)  # both verdicts were exercised
 
 
-def test_from_words_matches_reference():
-    cases = list(_random_word_lists(72))
-    sp = HammingSpace(3, 3)
-    cases += [
-        (HammingSpace(2, 1), ("0", "0", "1")),  # strings are not symbols
-        (sp, [("0", "0", "1")]),
-        (sp, [(0, 1, 2), (0, 1)]),  # ragged rows
-        (sp, [(0, 1, 2, 0), (0, 1)]),  # six symbols, as two words would have
-        (sp, [(0, 1, 3)]),
-        (sp, [(1, -1, 2)]),  # its mixed-radix value is a valid index
-        (sp, [(0, 10**30, 2)]),
-        (sp, []),
-    ]
-    for space, words in cases:
-        want = _outcome(reference_from_words, space, words)
-        assert _outcome(Code.from_words, space, words) == want, (space, words)
-
-
 def test_code_dict_round_trip():
     for sp, words in _random_word_lists(73):
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         obj = code_to_dict(code)
-        assert obj["words"] == [_text(w, sp.q) for w in code.sorted_words()]
+        assert obj["words"] == [_text(w, sp.q) for w in words_of(code)]
         assert code_from_dict(obj) == code
 
 
 def test_space_too_large_to_index():
     edge = HammingSpace(2, 62)  # largest binary space whose indices fit in int64
-    code = Code.from_words(edge, [(0,) * 62, (1,) * 62])
+    code = reference_from_words(edge, [(0,) * 62, (1,) * 62])
     assert code.indices.tolist() == [0, 2**62 - 1]
     assert code_from_dict(code_to_dict(code)) == code
     assert not verify_covering_sampled(code, 31, 20, seed=1).found_uncovered
     for sp in (HammingSpace(2, 63), HammingSpace(3, 40)):
         with pytest.raises(SpaceTooLargeError):
-            Code.from_words(sp, [(0,) * sp.n])
+            reference_from_words(sp, [(0,) * sp.n])
         with pytest.raises(SpaceTooLargeError):
             Code(sp, [0])
         with pytest.raises(SpaceTooLargeError):
@@ -204,7 +186,7 @@ def test_negative_radius_rejected_everywhere():
         lambda: verify_covering(code, -1),
         lambda: verify_covering_scan(code, -1),
         lambda: verify_covering_sampled(code, -1, 5),
-        lambda: coverage_mask(code, -1),
+        lambda: uncovered_indices(code.space, code.indices, -1),
         lambda: expand_within_radius(code.space, mask, -1),
     ]
     for call in calls:
@@ -230,7 +212,7 @@ def test_verify_methods_agree_with_scan_oracle():
         radius = rng.randint(0, min(n, 3))
         size = rng.randint(1, 6)
         words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(size)}
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         ref = verify_covering_scan(code, radius)
         fast = verify_covering(code, radius)
         assert (ref.covered, ref.witness) == (fast.covered, fast.witness)
@@ -246,7 +228,7 @@ def test_adding_words_preserves_covering():
     assert base.covered
     for _ in range(10):
         extra = tuple(rng.randrange(2) for _ in range(5))
-        grown = Code.from_words(sp, [*code.sorted_words(), extra])
+        grown = reference_from_words(sp, [*words_of(code), extra])
         assert verify_covering(grown, 2).covered
 
 
@@ -257,8 +239,9 @@ def test_witness_is_the_last_word_next_to_padding(n, radius):
     # every word farther than ``radius`` from it, which covers all others.
     sp = HammingSpace(3, n)
     last = (2,) * n
-    code = Code.from_words(sp, [w for w in enumerate_space(sp) if brute_distance(w, last) > radius])
-    assert coverage_mask(code, radius).sum() == sp.size - 1
+    far = [w for w in enumerate_space(sp) if brute_distance(w, last) > radius]
+    code = reference_from_words(sp, far)
+    assert uncovered_indices(sp, code.indices, radius).tolist() == [sp.size - 1]
     verdict = verify_covering(code, radius)
     assert not verdict.covered and verdict.witness == last
 
@@ -270,7 +253,7 @@ def test_verify_empty_code():
 
 def test_sampled_verification():
     sp = HammingSpace(2, 3)
-    whole = Code.from_words(sp, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    whole = reference_from_words(sp, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
     assert not verify_covering_sampled(whole, 0, 50, seed=3).found_uncovered
     # 7 of 8 words are uncovered; 1000 samples miss them with prob 8^-1000
     v = verify_covering_sampled(make_code(2, 3, [(0, 0, 0)]), 0, 1000, seed=1)
@@ -282,7 +265,7 @@ def test_sampled_verification():
 def _sampled_reference(code, radius, samples, seed):
     """The per-codeword loop verify_covering_sampled must reproduce exactly."""
     rng = random.Random(f"sampled-verify:{seed}")
-    words = code.sorted_words()
+    words = words_of(code)
     for k in range(samples):
         w = tuple(rng.randrange(code.space.q) for _ in range(code.space.n))
         if not any(brute_distance(w, c) <= radius for c in words):
@@ -299,7 +282,7 @@ def test_sampled_matches_reference_loop():
         sp = HammingSpace(q, n)
         radius = rng.randint(0, n)
         words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, 30))}
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         got = verify_covering_sampled(code, radius, 25, seed=trial)
         want = _sampled_reference(code, radius, 25, trial)
         assert (got.found_uncovered, got.witness, got.samples) == want
@@ -315,7 +298,7 @@ def test_sampled_never_contradicts_exhaustive():
         sp = HammingSpace(q, n)
         radius = rng.randint(1, n)
         words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, 5))}
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         if verify_covering(code, radius).covered:
             assert not verify_covering_sampled(code, radius, 200, seed=_).found_uncovered
 
@@ -323,18 +306,12 @@ def test_sampled_never_contradicts_exhaustive():
 def test_density_examples():
     assert density(make_code(2, 3, [(0, 0, 0), (1, 1, 1)]), 1) == 1
     sp = HammingSpace(2, 3)
-    whole = Code.from_words(sp, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    whole = reference_from_words(sp, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
     assert density(whole, 0) == 1
     code = make_code(2, 4, COVER_2_4_1)
     assert verify_covering(code, 1).covered
     assert density(code, 1) == Fraction(5, 4) and type(density(code, 1)) is Fraction
     assert abs(float(density(code, 1)) - 1.25) < 1e-12
-
-
-def test_sphere_covering_lower_bound():
-    assert sphere_covering_lower_bound(HammingSpace(2, 4), 1) == 4
-    assert sphere_covering_lower_bound(HammingSpace(5, 3), 3) == 1
-    assert sphere_covering_lower_bound(HammingSpace(3, 2), 1) == 2
 
 
 def test_covered_codes_have_density_at_least_one():
@@ -346,7 +323,7 @@ def test_covered_codes_have_density_at_least_one():
         sp = HammingSpace(q, n)
         radius = rng.randint(0, n)
         words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, 8))}
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         if verify_covering(code, radius).covered:
             hits += 1
             assert density(code, radius) >= 1
@@ -356,7 +333,7 @@ def test_covered_codes_have_density_at_least_one():
 
 def test_guard_rejects_huge_exhaustive_check():
     sp = HammingSpace(2, 30)
-    code = Code.from_words(sp, [(0,) * 30])
+    code = reference_from_words(sp, [(0,) * 30])
     with pytest.raises(SpaceTooLargeError):
         verify_covering(code, 1)
     # sampled mode has no guard
@@ -377,7 +354,7 @@ def test_code_file_round_trip(tmp_path):
 
 def test_code_file_format_large_alphabet(tmp_path):
     sp = HammingSpace(12, 2)
-    code = Code.from_words(sp, [(0, 0), (11, 3), (2, 10)])
+    code = reference_from_words(sp, [(0, 0), (11, 3), (2, 10)])
     d = code_to_dict(code)
     assert d["words"] == ["0,0", "2,10", "11,3"]  # tuple order, not string order
     assert code_from_dict(d) == code
@@ -390,7 +367,7 @@ def test_written_code_files_read_back(tmp_path):
     """read_code inverts dumps_code, and re-dumping what it read gives the same bytes."""
     path = tmp_path / "code.json"
     for sp, words in _random_word_lists(74):  # digit and comma word formats
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         path.write_text(dumps_code(code))
         again = read_code(path)
         assert again == code, (sp, words)

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcover import (
     DominationFailure,
@@ -14,7 +16,6 @@ from qcover import (
     dominating_partial,
     greedy_ball_cover,
     recursive_construct,
-    sphere_covering_lower_bound,
     verify_covering,
 )
 from qcover.bounds import floor_div_real
@@ -23,8 +24,9 @@ from qcover.construct import (
     domination_threshold,
     dumps_trace,
 )
+from qcover.hamming import uncovered_indices
 
-from oracles import nbar_of, set_greedy_ball_cover
+from oracles import nbar_of, set_greedy_ball_cover, sphere_covering_lower_bound, words_of
 
 
 def test_hamming_graph_view_examples():
@@ -92,6 +94,23 @@ def test_dominating_partial_nbar_beside_padding(q, n, radius, x):
         assert frozenset(res.N_bar.tolist()) == nbar_of(sp, radius, res.X.tolist())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    n=st.integers(1, 5),
+    radius=st.integers(0, 3),
+    x=st.floats(0.5, 4.0),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3, unique=True),
+)
+def test_dominating_partial_nbar_is_uncovered_indices(q, n, radius, x, seeds):
+    # the per-level check a certificate verifier runs: N_bar is exactly
+    # what X's radius balls miss
+    sp = HammingSpace(q, n)
+    for seed in seeds:
+        res = dominating_partial(sp, radius, x, seed=seed)
+        assert np.array_equal(res.N_bar, uncovered_indices(sp, res.X, radius))
+
+
 def test_dominating_partial_deterministic():
     sp = HammingSpace(2, 7)
     a = dominating_partial(sp, 1, 2.0, seed=99)
@@ -133,7 +152,7 @@ def test_greedy_ball_cover_is_covering():
 ])
 def test_greedy_ball_cover_matches_set_based_loop(q, n, radius):
     sp = HammingSpace(q, n)
-    assert set(greedy_ball_cover(sp, radius).sorted_words()) == set_greedy_ball_cover(sp, radius)
+    assert set(words_of(greedy_ball_cover(sp, radius))) == set_greedy_ball_cover(sp, radius)
 
 
 def test_floor_div_real_matches_exact_arithmetic():
@@ -147,7 +166,7 @@ def test_floor_div_real_matches_exact_arithmetic():
 def test_construct_trivial_when_radius_swallows_space():
     sp = HammingSpace(3, 2)
     code, trace = recursive_construct(sp, 3, x=4.0, y=2.0)
-    assert code.sorted_words() == [(0, 0)]
+    assert words_of(code) == [(0, 0)]
     assert trace.density == 1  # ball of radius >= n is the whole space
     assert trace.base.method == "trivial" and trace.levels == []
 

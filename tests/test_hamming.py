@@ -16,7 +16,7 @@ from qcover import (
     index_word,
     word_index,
 )
-from qcover.hamming import expand_within_radius, indices_to_digits
+from qcover.hamming import expand_within_radius, indices_to_digits, uncovered_indices
 
 from oracles import ball_union, brute_ball_count, brute_distance, enumerate_ball, enumerate_space
 
@@ -195,6 +195,32 @@ def _spaces(draw):
 def test_expand_matches_ball_oracle_random(sp, radius, density, seed):
     mask = np.random.default_rng(seed).random(sp.size) < density
     _check_expansion(sp, mask, radius)
+
+
+@st.composite
+def _index_sets(draw):
+    """A small space, a radius in 0..n, and a set of its word indices.
+
+    The sets include the empty set and the whole space.
+    """
+    q = draw(st.sampled_from([2, 3, 4]))
+    sp = HammingSpace(q, draw(st.integers(0, {2: 7, 3: 5, 4: 4}[q])))
+    everything = list(range(sp.size))
+    indices = draw(st.one_of(
+        st.just([]),
+        st.just(everything),
+        st.lists(st.sampled_from(everything), max_size=12),
+    ))
+    return sp, draw(st.integers(0, sp.n)), indices
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_index_sets())
+def test_uncovered_indices_complement_ball_union(case):
+    sp, radius, indices = case
+    got = uncovered_indices(sp, np.array(indices, dtype=np.int64), radius)
+    assert got.dtype == np.int64 and np.all(got[1:] > got[:-1])
+    assert set(got.tolist()) == set(range(sp.size)) - ball_union(sp, indices, radius)
 
 
 @pytest.mark.parametrize("q,n", [

@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from qcover import (
-    Code,
     HammingSpace,
     SpaceTooLargeError,
     density,
     greedy_ball_cover,
     minimal_covering_code,
-    sphere_covering_lower_bound,
     verify_covering,
 )
 
@@ -23,7 +21,10 @@ from oracles import (
     ball_masks,
     naive_lex_min_code,
     naive_minimal_size,
+    reference_from_words,
     reference_minimal_covering_code,
+    sphere_covering_lower_bound,
+    words_of,
 )
 
 KNOWN_OPTIMA = [
@@ -46,16 +47,16 @@ def test_known_optimal_sizes(q, n, radius, size):
 def test_lexicographically_smallest_optimum():
     res = minimal_covering_code(HammingSpace(2, 3), 1)
     assert res.canonical
-    assert res.code.sorted_words() == [(0, 0, 0), (1, 1, 1)]
+    assert words_of(res.code) == [(0, 0, 0), (1, 1, 1)]
     res = minimal_covering_code(HammingSpace(3, 2), 1)
-    assert res.code.sorted_words() == [(0, 0), (0, 1), (0, 2)]
+    assert words_of(res.code) == [(0, 0), (0, 1), (0, 2)]
     res = minimal_covering_code(HammingSpace(2, 4), 1)
-    assert res.code.sorted_words() == [
+    assert words_of(res.code) == [
         (0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)]
     res = minimal_covering_code(HammingSpace(2, 5), 1)
     # frozen from the subset-enumeration oracle (lexicographically first
     # 7-subset through the zero word that covers)
-    assert res.code.sorted_words() == [
+    assert words_of(res.code) == [
         (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 1, 1, 1),
         (1, 0, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 0)]
 
@@ -66,7 +67,7 @@ def test_canonical_code_matches_unrestricted_lex_oracle():
         res = minimal_covering_code(HammingSpace(q, n), radius)
         assert res.canonical
         want = naive_lex_min_code(q, n, radius, res.optimal_size)
-        assert res.code.sorted_words() == want, (q, n, radius)
+        assert words_of(res.code) == want, (q, n, radius)
 
 
 NAIVE_CASES = [(2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 2, 1), (2, 4, 2),
@@ -106,10 +107,10 @@ def test_translation_preserves_covering():
         sp = HammingSpace(q, n)
         words = {tuple(rng.randrange(q) for _ in range(n))
                  for _ in range(rng.randint(2, 8))}
-        code = Code.from_words(sp, words)
+        code = reference_from_words(sp, words)
         covered = verify_covering(code, radius).covered
         shift = tuple(rng.randrange(q) for _ in range(n))
-        moved = Code.from_words(
+        moved = reference_from_words(
             sp, [tuple((a - b) % q for a, b in zip(w, shift)) for w in words])
         assert len(moved) == len(code)
         assert verify_covering(moved, radius).covered == covered
@@ -137,7 +138,7 @@ def test_radius_zero_needs_whole_space():
 def test_radius_at_least_n_needs_one_word():
     res = minimal_covering_code(HammingSpace(4, 3), 3)
     assert res.optimal_size == 1
-    assert res.code.sorted_words() == [(0, 0, 0)]
+    assert words_of(res.code) == [(0, 0, 0)]
 
 
 def test_budget_exceeded_returns_covering_incumbent():
