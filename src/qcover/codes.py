@@ -5,8 +5,10 @@ words cross this module only as indices or as a (k, n) digit matrix. The
 code-file parser splits word texts into such a matrix and checks its
 membership once, and :func:`render_words` is the one renderer of word
 texts. A code file is rendered directly, byte for byte as
-``json.dumps(..., sort_keys=True, indent=2)`` would write it; ``json`` only
-reads code files. A density is an exact ``Fraction``. Exhaustive covering
+``json.dumps(..., sort_keys=True, indent=2)`` would write it. A file in that
+canonical layout with q <= 10 is read back in one fixed-stride pass over
+its bytes; any other valid JSON layout goes through ``json``, with the same
+result. A density is an exact ``Fraction``. Exhaustive covering
 verification asks :func:`~qcover.hamming.uncovered_indices` for the words
 the code misses. Sampled verification spot-checks random words on spaces
 too large to enumerate.
@@ -14,8 +16,10 @@ too large to enumerate.
 
 from __future__ import annotations
 
+import io
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +29,7 @@ import numpy as np
 
 from .hamming import (
     DEFAULT_ENUMERATION_GUARD,
+    INDEX_LIMIT,
     HammingSpace,
     Word,
     ball_volume,
@@ -225,6 +230,19 @@ def code_from_dict(obj: dict) -> Code:
     return _words_code(space, texts, np.array(symbols, np.min_scalar_type(q)), map(len, split))
 
 
+# The canonical layout after the header, which dumps_code writes and
+# _read_canonical matches. The separator and the closing bytes have the same
+# length, so every word ends a row of n + 8 bytes.
+_NO_WORDS = "]\n}\n"
+_FIRST_WORD = '\n    "'
+_WORD_SEP = '",\n    "'
+_LAST_WORD_END = '"\n  ]\n}\n'
+
+#: dumps_code's header for 2 <= q <= 10. An n of three or more digits never
+#: indexes with q >= 2, so the json path handles it.
+_CANONICAL_HEAD = re.compile(rb'\{\n  "n": (0|[1-9][0-9]?),\n  "q": ([2-9]|10),\n  "words": \[')
+
+
 def dumps_code(code: Code) -> str:
     """The canonical code file, rendered directly.
 
@@ -235,14 +253,68 @@ def dumps_code(code: Code) -> str:
     sp = code.space
     head = f'{{\n  "n": {sp.n},\n  "q": {sp.q},\n  "words": ['
     if not len(code):
-        return head + "]\n}\n"
-    words = render_words(indices_to_digits(sp, code.indices), sp.q, '",\n    "')
-    return f'{head}\n    "{words}"\n  ]\n}}\n'
+        return head + _NO_WORDS
+    words = render_words(indices_to_digits(sp, code.indices), sp.q, _WORD_SEP)
+    return f"{head}{_FIRST_WORD}{words}{_LAST_WORD_END}"
+
+
+def _read_canonical(data: bytes) -> Optional[Code]:
+    """The code in ``data`` if it is exactly what :func:`dumps_code` writes for q <= 10, else None.
+
+    After the header, word i fills row i of a (k, n + 8) byte matrix: its n
+    digits, then the 8 separator bytes, or the 8 closing bytes after the
+    last word. The matrix is a view of ``data``, taken once the lengths
+    show that k whole rows end exactly at the end of the file. Any other
+    layout, a byte that is not a digit below q, or words out of order or
+    repeated, gives None.
+    """
+    head = _CANONICAL_HEAD.match(data)
+    if head is None:
+        return None
+    space = HammingSpace(int(head[2]), int(head[1]))
+    if space.size >= INDEX_LIMIT:
+        return None
+    q, n, start = space.q, space.n, head.end()
+    if len(data) == start + len(_NO_WORDS) and data.endswith(_NO_WORDS.encode()):
+        return Code(space, np.empty(0, np.int64))
+    if data[start : start + len(_FIRST_WORD)] != _FIRST_WORD.encode():
+        return None
+    start += len(_FIRST_WORD)
+    stride = n + len(_WORD_SEP)
+    if len(data) <= start or (len(data) - start) % stride:
+        return None
+    rows = np.frombuffer(data, np.uint8, offset=start).reshape(-1, stride)
+    sep = np.frombuffer(_WORD_SEP.encode(), np.uint8)
+    end = np.frombuffer(_LAST_WORD_END.encode(), np.uint8)
+    if np.any(rows[:-1, n:] != sep) or np.any(rows[-1, n:] != end):
+        return None
+    digits = rows[:, :n] - ord("0")  # bytes below "0" wrap high
+    if digits.max(initial=0) >= q:
+        return None
+    indices = digits_to_indices(space, digits)
+    if np.any(indices[1:] <= indices[:-1]):
+        return None
+    return Code(space, indices)
 
 
 def read_code(path) -> Code:
-    """Read a code file, or the code inside a ``solve --out`` result file."""
-    obj = json.loads(Path(path).read_text())
+    """Read a code file, or the code inside a ``solve --out`` result file.
+
+    A canonical file with q <= 10 is read in one fixed-stride pass over its
+    bytes (see :func:`_read_canonical`). Any other file is decoded as
+    :meth:`Path.read_text` would and parsed by ``json``; a canonical file
+    gives the same ``Code`` either way.
+    """
+    data = Path(path).read_bytes()
+    code = _read_canonical(data)
+    if code is not None:
+        return code
+    # json's word strings take several times the file: drop the bytes and
+    # the text as soon as the next form exists
+    text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    del data
+    obj = json.loads(text)
+    del text
     if isinstance(obj, dict) and "words" not in obj and isinstance(obj.get("code"), dict):
         obj = obj["code"]
     return code_from_dict(obj)

@@ -120,14 +120,26 @@ def index_word(space: HammingSpace, i: int) -> Word:
 
 
 def digits_to_indices(space: HammingSpace, digits: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`word_index` of a (k, n) digit matrix, as int64.
+    """Row-wise :func:`word_index` of an unsigned (k, n) digit matrix, as int64.
 
-    The digits must already be validated to lie in [0, q).
+    The digits must already be validated to lie in [0, q). The mirror of
+    :func:`indices_to_digits`: each limb of m digits with q^m < 2^32 is
+    accumulated in uint32 (one digit per uint64 limb when q is larger) and
+    then folded into the int64 index.
     """
     space.check_indexable()
+    q, n = space.q, space.n
+    m = max(1, _max_length(q, n, (1 << 32) - 1))
+    limb_dtype = np.uint32 if q**m < 1 << 32 else np.uint64
     idx = np.zeros(len(digits), dtype=np.int64)
-    for j in range(space.n):
-        idx = idx * space.q + digits[:, j]
+    for start in range(0, n, m):
+        stop = min(start + m, n)
+        limb = np.zeros(len(digits), dtype=limb_dtype)
+        for j in range(start, stop):
+            limb *= q
+            limb += digits[:, j]
+        idx *= q ** (stop - start)
+        idx += limb.astype(np.int64)  # int64 + uint64 would promote to float64
     return idx
 
 
@@ -236,8 +248,12 @@ def uncovered_indices(space: HammingSpace, indices, radius: int) -> np.ndarray:
     """Sorted int64 indices of the words farther than ``radius`` from every given index.
 
     One :func:`expand_within_radius` call on the mask of ``indices``; empty
-    exactly when those words cover the space.
+    exactly when those words cover the space. Raises ValueError for an
+    index outside [0, q^n).
     """
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= space.size):
+        raise ValueError(f"word indices must lie in [0, {space.size}) for [{space.q}]^{space.n}")
     mask = np.zeros(space.size, dtype=bool)
     mask[indices] = True
     return np.flatnonzero(~expand_within_radius(space, mask, radius))

@@ -14,11 +14,12 @@ import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import mpmath as mp
 
-from qcover.codes import Code, CoverVerdict, density
+from qcover.codes import Code, CoverVerdict, code_from_dict, density
 from qcover.errors import InfeasibleParamsError
 from qcover.hamming import (
     DEFAULT_ENUMERATION_GUARD,
@@ -160,6 +161,14 @@ def reference_code_from_dict(obj):
             raise ValueError(f"{text!r} is not a word of [{space.q}]^{space.n}")
         words.append(tuple(int(p) for p in parts))
     return reference_from_words(space, words)
+
+
+def json_read_code(path):
+    """The code file reader with ``json`` for every layout: the fixed-stride reader's oracle."""
+    obj = json.loads(Path(path).read_text())
+    if isinstance(obj, dict) and "words" not in obj and isinstance(obj.get("code"), dict):
+        obj = obj["code"]
+    return code_from_dict(obj)
 
 
 def json_dumps_code(code):

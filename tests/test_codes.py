@@ -18,6 +18,7 @@ from qcover import (
     verify_covering_sampled,
 )
 from qcover.codes import (
+    _read_canonical,
     code_from_dict,
     code_to_dict,
     dumps_code,
@@ -30,6 +31,7 @@ from oracles import (
     brute_is_covering,
     enumerate_space,
     json_dumps_code,
+    json_read_code,
     reference_code_from_dict,
     reference_from_words,
     sphere_covering_lower_bound,
@@ -401,3 +403,87 @@ def test_dumps_code_matches_json_encoder(code):
 def test_dumps_code_matches_json_encoder_at_edges(q, n, indices):
     code = Code(HammingSpace(q, n), indices)
     assert dumps_code(code) == json_dumps_code(code)
+
+
+@st.composite
+def _digit_codes(draw):
+    """Codes in the digit format, the empty code and the n = 0 codes among them."""
+    sp = HammingSpace(draw(st.integers(2, 10)), draw(st.integers(0, 8)))
+    return Code(sp, sorted(draw(st.sets(st.integers(0, sp.size - 1), max_size=60))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=_digit_codes())
+def test_fixed_stride_reader_matches_json_path(code):
+    data = dumps_code(code).encode()
+    got = _read_canonical(data)
+    assert got is not None and got == code_from_dict(json.loads(data)) == code
+
+
+def _read_outcome(read, path):
+    """The code ``read`` returns, or the type and message of what it raised."""
+    try:
+        return read(path)
+    except (OSError, KeyError, TypeError, ValueError, SpaceTooLargeError) as exc:
+        return type(exc), str(exc)
+
+
+_CANONICAL = dumps_code(Code(HammingSpace(3, 4), [0, 5, 13, 40, 79, 80])).encode()
+_SOLVE_OUT = json.dumps(
+    {"code": json.loads(_CANONICAL), "optimal_size": 6, "status": "optimal"},
+    sort_keys=True, indent=2,
+).encode() + b"\n"
+
+# Hand-mutated canonical files of [3]^4 (words 0000 0012 0111 1111 2221 2222):
+# the fixed-stride reader declines each, and read_code must then give what
+# the json path gives, a Code or an error.
+_MUTATED = {
+    "separator byte, still JSON": _CANONICAL.replace(b'",\n    "', b'",\n   \t"', 1),
+    "separator byte, not JSON": _CANONICAL.replace(b'",\n    "', b'";\n    "', 1),
+    "CRLF line endings": _CANONICAL.replace(b"\n", b"\r\n"),
+    "trailing space": _CANONICAL.replace(b'",\n', b'", \n', 1),
+    "no final newline": _CANONICAL[:-1],
+    "closing bytes, same length": _CANONICAL[:-8] + b'"]}\n\n\n\n\n',
+    "truncated last line": _CANONICAL[:-3],
+    "two words swapped": _CANONICAL.replace(b'"0012",\n    "0111"', b'"0111",\n    "0012"'),
+    "duplicated word": _CANONICAL.replace(b'"0111",', b'"0111",\n    "0111",'),
+    "escaped digit": _CANONICAL.replace(b'"0111"', b'"\\u0030111"'),
+    "digit equal to q": _CANONICAL.replace(b'"0111"', b'"0131"'),
+    "non-ASCII digit": _CANONICAL.replace(b'"0111"', "\"01\u0661\u0661\"".encode()),
+    "invalid UTF-8 byte": _CANONICAL.replace(b'"0111"', b'"01\xff1"'),
+    "leading zero in n": _CANONICAL.replace(b'"n": 4', b'"n": 04'),
+    "extra key": _CANONICAL.replace(b"{\n", b'{\n  "m": 1,\n', 1),
+    "wrong word length": _CANONICAL.replace(b'"0111"', b'"01111"'),
+    "solve --out file": _SOLVE_OUT,
+}
+
+
+def test_mutated_canonical_files_read_as_json_does(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_bytes(_CANONICAL)
+    code = read_code(path)
+    outcomes = []
+    for name, data in _MUTATED.items():
+        assert data != _CANONICAL and _read_canonical(data) is None, name
+        path.write_bytes(data)
+        want = _read_outcome(json_read_code, path)
+        assert _read_outcome(read_code, path) == want, name
+        outcomes.append(want)
+    assert sum(o == code for o in outcomes) == 10  # the same code, through json
+    assert sum(isinstance(o, tuple) for o in outcomes) == 7  # each an error
+
+
+@pytest.mark.parametrize("q,n,indices", [
+    (2, 0, []), (2, 0, [0]), (10, 3, [0, 999]), (10, 18, [0, 10**18 - 1]),
+    (11, 2, [0, 120]),  # the comma format always goes through json
+    (2, 63, []),  # too large to index: json's SpaceTooLargeError
+])
+def test_reader_edges_match_json_path(tmp_path, q, n, indices):
+    path = tmp_path / "code.json"
+    if q**n < 2**63:
+        path.write_text(dumps_code(Code(HammingSpace(q, n), indices)))
+    else:
+        path.write_text(json.dumps({"q": q, "n": n, "words": []}, sort_keys=True, indent=2) + "\n")
+    want = _read_outcome(json_read_code, path)
+    assert _read_outcome(read_code, path) == want
+    assert (_read_canonical(path.read_bytes()) is not None) == (q <= 10 and isinstance(want, Code))

@@ -16,7 +16,12 @@ from qcover import (
     index_word,
     word_index,
 )
-from qcover.hamming import expand_within_radius, indices_to_digits, uncovered_indices
+from qcover.hamming import (
+    digits_to_indices,
+    expand_within_radius,
+    indices_to_digits,
+    uncovered_indices,
+)
 
 from oracles import ball_union, brute_ball_count, brute_distance, enumerate_ball, enumerate_space
 
@@ -236,6 +241,37 @@ def test_indices_to_digits_matches_index_word(q, n):
     digits = indices_to_digits(sp, np.array(indices, dtype=np.int64))
     assert digits.shape == (len(indices), n) and digits.dtype == np.min_scalar_type(q - 1)
     assert [tuple(row) for row in digits.tolist()] == [index_word(sp, i) for i in indices]
+
+
+@pytest.mark.parametrize("q,n", [
+    (2, 0), (2, 31), (2, 32), (2, 33), (2, 62),  # one full 31-digit limb, one more digit, two
+    (3, 20), (3, 21), (3, 39),
+    (10, 9), (10, 10), (10, 18),
+    (2**32 + 15, 1), (2**31 + 1, 2),  # 64-bit limbs of one digit; 32-bit ones
+])
+def test_digits_to_indices_matches_word_index(q, n):
+    sp = HammingSpace(q, n)
+    rng = random.Random(q * 100 + n)
+    indices = sorted({0, sp.size - 1} | {rng.randrange(sp.size) for _ in range(50)})
+    words = [index_word(sp, i) for i in indices]
+    digits = np.array(words, dtype=np.min_scalar_type(q - 1)).reshape(len(words), n)
+    got = digits_to_indices(sp, digits)
+    assert got.dtype == np.int64
+    assert got.tolist() == [word_index(sp, w) for w in words] == indices
+
+
+def test_digits_to_indices_checks_indexable():
+    with pytest.raises(SpaceTooLargeError):
+        digits_to_indices(HammingSpace(2, 63), np.zeros((1, 63), dtype=np.uint8))
+
+
+def test_uncovered_indices_rejects_indices_outside_the_space():
+    sp = HammingSpace(2, 3)
+    for indices in ([-1], [sp.size], [0, sp.size], np.array([-1], dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"word indices must lie in \[0, 8\)"):
+            uncovered_indices(sp, indices, 0)
+    assert uncovered_indices(sp, [0, sp.size - 1], 0).tolist() == list(range(1, sp.size - 1))
+    assert uncovered_indices(sp, [], 3).tolist() == list(range(sp.size))
 
 
 def test_expand_rejects_wrong_leading_length():
