@@ -41,12 +41,6 @@ from .hamming import (
 )
 
 
-def unique_indices(indices: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an index array (``np.unique`` without its hash pass)."""
-    s = np.sort(indices)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
-
-
 @dataclass(frozen=True, eq=False)
 class Code:
     """A set of codewords in one Hamming space, stored as word indices.
@@ -173,6 +167,7 @@ def verify_covering_sampled(
 def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -> Code:
     """The code of ``words``, given their concatenated unsigned symbols and their symbol counts.
 
+    Words may come in any order and repeat; the code holds each once.
     Raises ValueError naming the first word without exactly n symbols in [0, q).
     """
     q, n = space.q, space.n
@@ -182,7 +177,8 @@ def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -
         bad = np.flatnonzero((digits >= q).any(axis=1))
     if bad.size:
         raise ValueError(f"{words[bad[0]]!r} is not a word of [{q}]^{n}")
-    return Code(space, unique_indices(digits_to_indices(space, digits)))
+    idx = np.sort(digits_to_indices(space, digits))
+    return Code(space, idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx)
 
 
 def render_words(digits, q: int, sep: str = "") -> str:
@@ -266,7 +262,7 @@ def _read_canonical(data: bytes) -> Optional[Code]:
     last word. The matrix is a view of ``data``, taken once the lengths
     show that k whole rows end exactly at the end of the file. Any other
     layout, a byte that is not a digit below q, or words out of order or
-    repeated, gives None.
+    repeated (which :class:`Code` rejects), gives None.
     """
     head = _CANONICAL_HEAD.match(data)
     if head is None:
@@ -291,10 +287,10 @@ def _read_canonical(data: bytes) -> Optional[Code]:
     digits = rows[:, :n] - ord("0")  # bytes below "0" wrap high
     if digits.max(initial=0) >= q:
         return None
-    indices = digits_to_indices(space, digits)
-    if np.any(indices[1:] <= indices[:-1]):
+    try:
+        return Code(space, digits_to_indices(space, digits))
+    except ValueError:  # words out of order or repeated
         return None
-    return Code(space, indices)
 
 
 def read_code(path) -> Code:

@@ -18,10 +18,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import floor_div_real, require_feasible
-from .codes import Code, density, density_to_dict, unique_indices
-from .errors import DominationFailure, InfeasibleParamsError
+from .codes import Code, density, density_to_dict
+from .errors import DominationFailure, InfeasibleParamsError, SpaceTooLargeError
 from .hamming import HammingSpace, ball_volume, check_radius, uncovered_indices
-from .solver import EXACT_SOLVER_GUARD, greedy_ball_cover, minimal_covering_code
+from .solver import EXACT_SOLVER_GUARD, GREEDY_COVER_GUARD, greedy_ball_cover, minimal_covering_code
 
 #: Node budget of an exact base-case solve; past it the construction keeps
 #: the solver's incumbent and records the base as "exact-incumbent".
@@ -39,11 +39,8 @@ class DominationResult:
     N_bar: np.ndarray
     trials_used: int
 
-
-def _index_array(indices) -> np.ndarray:
-    idx = np.sort(np.asarray(indices, dtype=np.int64))
-    idx.flags.writeable = False
-    return idx
+    def __post_init__(self) -> None:
+        self.X.flags.writeable = self.N_bar.flags.writeable = False
 
 
 def domination_size_cap(m: int, d: int, x: float) -> int:
@@ -89,15 +86,15 @@ def dominating_partial(
                 "requires floor(x*m/(d+1)) >= 1 or x <= (d+1)/m; "
                 f"a size-0 set cannot miss at most {threshold} of {m} vertices"
             )
-        return DominationResult(_index_array([]), _index_array(np.arange(m)), 0)
+        return DominationResult(np.empty(0, np.int64), np.arange(m), 0)
 
     best_miss = m
     for trial in range(max_trials):
         rng = random.Random(f"dominate:{seed}:{trial}")
-        X = rng.sample(range(m), size)
-        n_bar = uncovered_indices(space, X, radius)
+        X = np.sort(np.array(rng.sample(range(m), size), dtype=np.int64))
+        n_bar = uncovered_indices(space, X, radius)  # sorted already
         if len(n_bar) <= threshold:
-            return DominationResult(_index_array(X), _index_array(n_bar), trial + 1)
+            return DominationResult(X, n_bar, trial + 1)
         best_miss = min(best_miss, len(n_bar))
     raise DominationFailure(
         f"no trial out of {max_trials} met |N_bar| <= {threshold} "
@@ -169,6 +166,16 @@ class ConstructionTrace:
 BASE_POLICIES = ("auto", "trivial", "exact", "greedy")
 
 
+def _level_words(X: np.ndarray, N_bar: np.ndarray, block: int, k2: np.ndarray) -> np.ndarray:
+    """X x [q]^r then N_bar x K_r as word indices (prefix * ``block`` + suffix), sorted.
+
+    Two sorted runs, not deduplicated. A stable sort merges them faster but raised peak RSS.
+    """
+    x_part = (X[:, None] * block + np.arange(block)).ravel()
+    nbar_part = (N_bar[:, None] * block + k2).ravel()
+    return np.sort(np.concatenate((x_part, nbar_part)))
+
+
 def recursive_construct(
     space: HammingSpace,
     radius: int,
@@ -177,18 +184,18 @@ def recursive_construct(
     base_policy: str = "auto",
     seed=0,
 ) -> Tuple[Code, ConstructionTrace]:
-    """Build a radius-``radius`` covering code of [q]^n recursively.
+    """Build a radius-``radius`` covering code of [q]^n from a list of levels.
 
-    Each level splits n into r = floor(n/y) and r' = n - r, takes a partial
-    dominating set X on the distance-<=radius graph of [q]^{r'}, and returns
-    (X + every suffix) together with (missed prefixes + a recursive cover of
-    [q]^r). Words whose prefix is dominated by X are covered through the X
-    part; all other prefixes are missed, so their words are covered through
-    the suffix code. The recursion bottoms out at n <= radius (single zero
-    word) or r = 0, where ``base_policy`` decides between an exact solve and
-    a greedy ball cover ("auto" solves exactly up to q^r = EXACT_SOLVER_GUARD,
-    within EXACT_BASE_NODE_BUDGET nodes; "trivial" insists on the zero-word
-    case and errors if the recursion stops early).
+    Level i covers [q]^n_i (n_0 = n): it splits n_i into r = floor(n_i/y) and
+    r' = n_i - r, and takes a partial dominating set X on the distance-<=radius
+    graph of [q]^{r'}, whose balls miss the prefixes N_bar. Its code is
+    X x [q]^r u N_bar x K_r, with K_r the next level's code (n_{i+1} = r).
+    The top-down pass stops at the first empty N_bar, at n_i <= radius (the
+    zero word) or at r = 0, where ``base_policy`` picks an exact solve or a
+    greedy ball cover ("auto" solves exactly up to q^n_i = EXACT_SOLVER_GUARD
+    within EXACT_BASE_NODE_BUDGET nodes; "trivial" errors there). The
+    bottom-up pass folds the level list into the code in prefix order
+    (:func:`_level_words`); :class:`Code` is the one check of that order.
 
     Requires x > radius * ln(y) with y > 1. Deterministic for a fixed seed.
     """
@@ -208,60 +215,56 @@ def recursive_construct(
     )
 
     def base_cover(sub: HammingSpace) -> np.ndarray:
-        policy = base_policy
-        if policy == "trivial":
+        if sub.n <= radius:
+            trace.base = BaseRecord(sub.n, "trivial", 1)
+            return np.zeros(1, dtype=np.int64)
+        if base_policy == "trivial":
             raise InfeasibleParamsError(
                 f"base policy 'trivial' stopped at [q]^{sub.n} with n > R={radius}; "
                 "choose y <= n so the recursion can continue, or a solving policy"
             )
-        if policy == "auto":
-            policy = "exact" if sub.size <= EXACT_SOLVER_GUARD else "greedy"
-        if policy == "exact":
+        method = base_policy
+        if method == "auto":
+            method = "exact" if sub.size <= EXACT_SOLVER_GUARD else "greedy"
+        guard = EXACT_SOLVER_GUARD if method == "exact" else GREEDY_COVER_GUARD
+        if sub.size > guard:
+            raise SpaceTooLargeError(
+                f"base case [{q}]^{sub.n} has {sub.size} words, over the {method} guard "
+                f"{guard} of base policy {base_policy!r}, because floor({sub.n}/{y}) = 0; "
+                f"choose y <= {sub.n} so the recursion can continue, or a smaller n"
+            )
+        if method == "exact":
             res = minimal_covering_code(sub, radius, node_budget=EXACT_BASE_NODE_BUDGET)
-            method = "exact" if res.status == "optimal" else "exact-incumbent"
-            trace.base = BaseRecord(sub.n, method, len(res.code))
+            status = "exact" if res.status == "optimal" else "exact-incumbent"
+            trace.base = BaseRecord(sub.n, status, len(res.code))
             return res.code.indices
         cover = greedy_ball_cover(sub, radius)
         trace.base = BaseRecord(sub.n, "greedy", len(cover))
         return cover.indices
 
-    def build(n: int, depth: int) -> np.ndarray:
-        """Sorted word indices of a covering code of [q]^n."""
-        sub = HammingSpace(q, n)
-        if n <= radius:
-            trace.base = BaseRecord(n, "trivial", 1)
-            return np.zeros(1, dtype=np.int64)
-        r = floor_div_real(n, y)
-        if r == 0:
-            return base_cover(sub)
-        r_prime = n - r
-        prefix_space = HammingSpace(q, r_prime)
-        dom = dominating_partial(prefix_space, radius, x, seed=f"{seed}/{depth}")
-        k2 = build(r, depth + 1) if dom.N_bar.size else np.zeros(0, dtype=np.int64)
-        # word index = prefix index * q^r + suffix index
-        block = q**r
-        x_part = dom.X[:, None] * block + np.arange(block)
-        nbar_part = dom.N_bar[:, None] * block + k2
-        words = unique_indices(np.concatenate((x_part.ravel(), nbar_part.ravel())))
-        assert len(words) == len(dom.X) * block + len(dom.N_bar) * len(k2)
-        trace.levels.append(
-            TraceLevel(
-                n=n,
-                r=r,
-                r_prime=r_prime,
-                m=prefix_space.size,
-                d=ball_volume(prefix_space, radius) - 1,
-                x_size=len(dom.X),
-                nbar_size=len(dom.N_bar),
-                k2_size=len(k2),
-                k_size=len(words),
-            )
-        )
-        return words
+    # Top-down, until a level misses no prefix or the base case takes over.
+    levels = []  # (n, r, DominationResult), top level first
+    n = space.n
+    words = np.zeros(0, dtype=np.int64)  # K_r of the last level
+    while n > radius and (r := floor_div_real(n, y)) > 0:
+        dom = dominating_partial(HammingSpace(q, n - r), radius, x, seed=f"{seed}/{len(levels)}")
+        levels.append((n, r, dom))
+        if not dom.N_bar.size:
+            break
+        n = r
+    else:
+        words = base_cover(HammingSpace(q, n))
 
-    words = build(space.n, 0)
+    # Bottom-up: fold the levels into the code; each record goes before the deeper ones.
+    for n, r, dom in reversed(levels):
+        k2_size = len(words)
+        words = _level_words(dom.X, dom.N_bar, q**r, words)
+        trace.levels.insert(0, TraceLevel(
+            n=n, r=r, r_prime=n - r, m=q ** (n - r),
+            d=ball_volume(HammingSpace(q, n - r), radius) - 1,
+            x_size=len(dom.X), nbar_size=len(dom.N_bar), k2_size=k2_size, k_size=len(words),
+        ))
     code = Code(space, words)
-    trace.levels.reverse()  # top level first
     trace.total_size = len(code)
     trace.density = density(code, radius)
     return code, trace

@@ -129,8 +129,7 @@ def digits_to_indices(space: HammingSpace, digits: np.ndarray) -> np.ndarray:
     """
     space.check_indexable()
     q, n = space.q, space.n
-    m = max(1, _max_length(q, n, (1 << 32) - 1))
-    limb_dtype = np.uint32 if q**m < 1 << 32 else np.uint64
+    m, limb_dtype = _limbs(q, n)
     idx = np.zeros(len(digits), dtype=np.int64)
     for start in range(0, n, m):
         stop = min(start + m, n)
@@ -152,8 +151,7 @@ def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
     contiguous (n, k) array.
     """
     q, n = space.q, space.n
-    m = max(1, _max_length(q, n, (1 << 32) - 1))
-    limb_dtype = np.uint32 if q**m < 1 << 32 else np.uint64
+    m, limb_dtype = _limbs(q, n)
     out = np.empty((n, len(indices)), dtype=np.min_scalar_type(q - 1))
     rest = np.array(indices, dtype=np.int64)
     for stop in range(n, 0, -m):
@@ -166,6 +164,12 @@ def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
             out[j] = limb - high * q
             limb = high
     return out.T
+
+
+def _limbs(q: int, n: int) -> tuple:
+    """(m, dtype): limbs of m digits with q^m < 2^32 in uint32, or one digit per uint64 limb."""
+    m = max(1, _max_length(q, n, (1 << 32) - 1))
+    return m, np.uint32 if q**m < 1 << 32 else np.uint64
 
 
 def _max_length(q: int, n: int, limit: int) -> int:

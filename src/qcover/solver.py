@@ -61,11 +61,8 @@ class SolveResult:
     status: str
     canonical: bool
     nodes: int
-    elapsed: float
 
     def to_json_dict(self) -> dict:
-        # elapsed is deliberately left out: emitted JSON stays byte-identical
-        # across runs with the same inputs
         return {
             "optimal_size": self.optimal_size,
             "status": self.status,
@@ -173,7 +170,6 @@ def minimal_covering_code(
             status=status,
             canonical=canonical,
             nodes=nodes,
-            elapsed=time.monotonic() - start,
         )
 
     # One ball swallows the space: the zero word alone is the optimum.

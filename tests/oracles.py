@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import mpmath as mp
+import numpy as np
 
 from qcover.codes import Code, CoverVerdict, code_from_dict, density
 from qcover.errors import InfeasibleParamsError
@@ -139,6 +140,16 @@ def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
 def reference_from_words(space, words):
     """The code of word tuples in any order, one at a time: ``require_word`` checks each."""
     return Code(space, sorted({word_index(space, w) for w in words}))
+
+
+def unique_indices(indices):
+    """Sorted distinct values of an index array, by one sort and a neighbour comparison.
+
+    The generic sort-and-dedup every construction level once ran over its
+    words; the prefix-order merge that replaced it must give the same array.
+    """
+    s = np.sort(indices)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
 
 
 def reference_code_from_dict(obj):
@@ -295,7 +306,6 @@ def reference_minimal_covering_code(space, radius, *, time_budget=None, node_bud
             status=status,
             canonical=canonical,
             nodes=nodes,
-            elapsed=time.monotonic() - start,
         )
 
     if v_ball >= m:

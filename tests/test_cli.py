@@ -178,6 +178,24 @@ def test_infeasible_construct_exits_three(tmp_path, capsys):
     assert "x > R*ln(y)" in err  # names the violated constraint
 
 
+def test_construct_base_guard_names_floor_n_over_y(tmp_path, capsys):
+    # y > n leaves all of [q]^n to the base case; construct has no flag to
+    # raise a base guard, so the message points at y and n instead
+    cases = [
+        # the optimizer's point for R=7: 'auto' picks the greedy cover
+        (["--n", "26", "--R", "7", "--x", "26.52", "--y", "27.52"],
+         ["[2]^26", "67108864", "greedy guard 16384", "'auto'", "floor(26/27.52) = 0", "y <= 26"]),
+        (["--n", "14", "--R", "1", "--x", "4", "--y", "20", "--base-policy", "exact"],
+         ["[2]^14", "16384", "exact guard 4096", "'exact'", "floor(14/20.0) = 0", "y <= 14"]),
+    ]
+    out = tmp_path / "c.json"
+    for flags, needles in cases:
+        status, stdout, err = run(capsys, "construct", "--q", "2", *flags, "--out", str(out))
+        assert status == 3 and stdout == "" and not out.exists()
+        assert all(needle in err for needle in needles), err
+        assert "raise the guard" not in err
+
+
 def test_solve_guard_exits_three(capsys):
     status, _, err = run(capsys, "solve", "--q", "2", "--n", "20", "--R", "1")
     assert status == 3 and "guard" in err

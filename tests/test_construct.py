@@ -19,14 +19,23 @@ from qcover import (
     verify_covering,
 )
 from qcover.bounds import floor_div_real
+import qcover.construct as construct_mod
 from qcover.construct import (
+    DominationResult,
+    _level_words,
     domination_size_cap,
     domination_threshold,
     dumps_trace,
 )
 from qcover.hamming import uncovered_indices
 
-from oracles import nbar_of, set_greedy_ball_cover, sphere_covering_lower_bound, words_of
+from oracles import (
+    nbar_of,
+    set_greedy_ball_cover,
+    sphere_covering_lower_bound,
+    unique_indices,
+    words_of,
+)
 
 
 def test_hamming_graph_view_examples():
@@ -249,3 +258,39 @@ def test_construct_small_sweep():
         assert verify_covering(code, radius).covered, (q, n, radius, x, y, k)
         for lv in trace.levels:
             assert lv.k_size == lv.x_size * q**lv.r + lv.nbar_size * lv.k2_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    r_prime=st.integers(0, 3),
+    r=st.integers(0, 3),
+    data=st.data(),
+)
+def test_level_words_equal_sort_and_dedup(q, r_prime, r, data):
+    # every prefix goes to X, to N_bar or to neither, so the two are disjoint
+    # and sorted, and either may be empty; K_r is any sorted subset of [q]^r
+    roles = data.draw(st.lists(st.sampled_from("xn."), min_size=q**r_prime, max_size=q**r_prime))
+    X = np.array([p for p, role in enumerate(roles) if role == "x"], dtype=np.int64)
+    N_bar = np.array([p for p, role in enumerate(roles) if role == "n"], dtype=np.int64)
+    k2 = np.array(sorted(data.draw(st.sets(st.integers(0, q**r - 1)))), dtype=np.int64)
+    block = q**r
+    parts = ((X[:, None] * block + np.arange(block)).ravel(), (N_bar[:, None] * block + k2).ravel())
+    want = unique_indices(np.concatenate(parts))
+    got = _level_words(X, N_bar, block, k2)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert len(got) == len(X) * block + len(N_bar) * len(k2)
+
+
+def test_construct_rejects_overlapping_prefix_sets(monkeypatch):
+    # X and N_bar are disjoint by construction; were a prefix in both, its
+    # words would repeat, and Code (the one order check) rejects them
+    real = construct_mod.dominating_partial
+
+    def overlapping(space, radius, x, seed=0):
+        res = real(space, radius, x, seed=seed)
+        return DominationResult(res.X, np.union1d(res.N_bar, res.X[:1]), res.trials_used)
+
+    monkeypatch.setattr(construct_mod, "dominating_partial", overlapping)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        recursive_construct(HammingSpace(2, 12), 2, 2 * math.log(2) + 2, 2.0, seed=7)
