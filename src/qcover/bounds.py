@@ -42,23 +42,31 @@ class BoundParams:
     def __post_init__(self) -> None:
         if not isinstance(self.R, int) or self.R < 1:
             raise InfeasibleParamsError(f"requires integer R >= 1, got {self.R!r}")
-        if not self.x > 0:
-            raise InfeasibleParamsError(f"requires x > 0, got {self.x!r}")
-        if not self.y > 1:
-            raise InfeasibleParamsError(f"requires y > 1, got {self.y!r}")
+        if not 0 < self.x < math.inf:
+            raise InfeasibleParamsError(f"requires finite x > 0, got {self.x!r}")
+        if not 1 < self.y < math.inf:
+            raise InfeasibleParamsError(f"requires finite y > 1, got {self.y!r}")
         if self.R1 is not None and not 0 <= self.R1 < self.R:
             raise InfeasibleParamsError(f"requires 0 <= R1 < R, got R1={self.R1!r}")
-        if self.mu_star is not None and not self.mu_star >= 1:
-            raise InfeasibleParamsError(f"requires mu_star >= 1, got {self.mu_star!r}")
+        if self.mu_star is not None and not 1 <= self.mu_star < math.inf:
+            raise InfeasibleParamsError(f"requires finite mu_star >= 1, got {self.mu_star!r}")
 
 
 def feasibility(p: BoundParams) -> float:
-    """The factor t = exp(-x) * y^R; the parametric bound needs t < 1."""
-    return math.exp(p.R * math.log(p.y) - p.x)
+    """The factor t = exp(-x) * y^R; the parametric bound needs t < 1.
+
+    Saturates to inf past the double range.
+    """
+    try:
+        return math.exp(p.R * math.log(p.y) - p.x)
+    except OverflowError:
+        return math.inf
 
 
 def require_feasible(R: int, x: float, y: float) -> None:
-    """Raise InfeasibleParamsError unless x > R*ln(y), i.e. the factor t < 1."""
+    """Raise InfeasibleParamsError unless x is finite and x > R*ln(y), i.e. the factor t < 1."""
+    if not x < math.inf:
+        raise InfeasibleParamsError(f"requires finite x, got {x!r}")
     if not x > R * math.log(y):
         raise InfeasibleParamsError("requires x > R*ln(y) (equivalently exp(-x)*y^R < 1)")
 
@@ -76,8 +84,12 @@ def _ratio_pow(y: float, k: int) -> float:
 
 
 def _feasibility_tail(R: int, x: float, y: float) -> float:
-    # 1 + 1/(e^x * y^-R - 1), with the denominator through expm1
-    return 1.0 + 1.0 / math.expm1(x - R * math.log(y))
+    # 1 + 1/(e^x * y^-R - 1), with the denominator through expm1; a
+    # denominator past the double range leaves 1
+    try:
+        return 1.0 + 1.0 / math.expm1(x - R * math.log(y))
+    except OverflowError:
+        return 1.0
 
 
 def _bound_factored(R: int, x: float, y: float) -> float:

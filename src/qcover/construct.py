@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -20,7 +20,13 @@ import numpy as np
 from .bounds import floor_div_real, require_feasible
 from .codes import Code, density, density_to_dict
 from .errors import DominationFailure, InfeasibleParamsError, SpaceTooLargeError
-from .hamming import HammingSpace, ball_volume, check_radius, uncovered_indices
+from .hamming import (
+    DEFAULT_ENUMERATION_GUARD,
+    HammingSpace,
+    ball_volume,
+    check_radius,
+    uncovered_indices,
+)
 from .solver import EXACT_SOLVER_GUARD, GREEDY_COVER_GUARD, greedy_ball_cover, minimal_covering_code
 
 #: Node budget of an exact base-case solve; past it the construction keeps
@@ -44,8 +50,13 @@ class DominationResult:
 
 
 def domination_size_cap(m: int, d: int, x: float) -> int:
-    """floor(x*m/(d+1)), the size budget the sampler must stay within."""
-    return min(int(math.floor(x * m / (d + 1))), m)
+    """min(floor(x*m/(d+1)), m), the size budget the sampler must stay within.
+
+    It is m once x >= d + 1, where the float product x*m could overflow.
+    """
+    if x >= d + 1:
+        return m
+    return min(math.floor(x * m / (d + 1)), m)
 
 
 def domination_threshold(m: int, d: int, x: float) -> int:
@@ -133,8 +144,11 @@ class BaseRecord:
     size: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstructionTrace:
+    """A run's flags, its levels top first, the base case (None when a level
+    missed no prefix), and the code's size and density."""
+
     q: int
     n: int
     radius: int
@@ -142,10 +156,10 @@ class ConstructionTrace:
     y: float
     base_policy: str
     seed: object
-    levels: List[TraceLevel] = field(default_factory=list)
-    base: Optional[BaseRecord] = None
-    total_size: int = 0
-    density: Optional[Fraction] = None
+    levels: List[TraceLevel]
+    base: Optional[BaseRecord]
+    total_size: int
+    density: Fraction
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,6 +190,48 @@ def _level_words(X: np.ndarray, N_bar: np.ndarray, block: int, k2: np.ndarray) -
     return np.sort(np.concatenate((x_part, nbar_part)))
 
 
+def _base_code(
+    sub: HammingSpace, radius: int, y: float, base_policy: str
+) -> Tuple[np.ndarray, BaseRecord]:
+    """(indices, BaseRecord): the code ``base_policy`` picks for the base case [q]^n of a run."""
+    if sub.n <= radius:
+        return np.zeros(1, dtype=np.int64), BaseRecord(sub.n, "trivial", 1)
+    if base_policy == "trivial":
+        raise InfeasibleParamsError(
+            f"base policy 'trivial' stopped at [q]^{sub.n} with n > R={radius}; "
+            "choose y <= n so the recursion can continue, or a solving policy"
+        )
+    method = base_policy
+    if method == "auto":
+        method = "exact" if sub.size <= EXACT_SOLVER_GUARD else "greedy"
+    guard = EXACT_SOLVER_GUARD if method == "exact" else GREEDY_COVER_GUARD
+    if sub.size > guard:
+        raise SpaceTooLargeError(
+            f"base case [{sub.q}]^{sub.n} has {sub.size} words, over the {method} guard "
+            f"{guard} of base policy {base_policy!r}, because floor({sub.n}/{y}) = 0; "
+            f"choose y <= {sub.n} so the recursion can continue, or a smaller n"
+        )
+    if method == "exact":
+        res = minimal_covering_code(sub, radius, node_budget=EXACT_BASE_NODE_BUDGET)
+        status = "exact" if res.status == "optimal" else "exact-incumbent"
+        return res.code.indices, BaseRecord(sub.n, status, len(res.code))
+    cover = greedy_ball_cover(sub, radius)
+    return cover.indices, BaseRecord(sub.n, "greedy", len(cover))
+
+
+def _prefix_space(q: int, n: int, r: int, y: float) -> HammingSpace:
+    """[q]^{n-r}, the space a level of [q]^n dominates, within the enumeration guard."""
+    prefix = HammingSpace(q, n - r)
+    if prefix.size > DEFAULT_ENUMERATION_GUARD:
+        raise SpaceTooLargeError(
+            f"level [{q}]^{n} dominates the prefix space [{q}]^{n - r} of {prefix.size} words, "
+            f"over the enumeration guard {DEFAULT_ENUMERATION_GUARD}, because "
+            f"r' = {n} - floor({n}/{y}) = {n - r}; choose a smaller y, so that floor(n/y) "
+            "grows, or a smaller n"
+        )
+    return prefix
+
+
 def recursive_construct(
     space: HammingSpace,
     radius: int,
@@ -192,12 +248,16 @@ def recursive_construct(
     X x [q]^r u N_bar x K_r, with K_r the next level's code (n_{i+1} = r).
     The top-down pass stops at the first empty N_bar, at n_i <= radius (the
     zero word) or at r = 0, where ``base_policy`` picks an exact solve or a
-    greedy ball cover ("auto" solves exactly up to q^n_i = EXACT_SOLVER_GUARD
-    within EXACT_BASE_NODE_BUDGET nodes; "trivial" errors there). The
-    bottom-up pass folds the level list into the code in prefix order
-    (:func:`_level_words`); :class:`Code` is the one check of that order.
+    greedy ball cover (:func:`_base_code`; "auto" solves exactly up to
+    q^n_i = EXACT_SOLVER_GUARD within EXACT_BASE_NODE_BUDGET nodes; "trivial"
+    errors there). The bottom-up pass folds the level list into the code in
+    prefix order (:func:`_level_words`); :class:`Code` is the one check of
+    that order. The trace is built once at the end, from the same level list
+    and the base record.
 
-    Requires x > radius * ln(y) with y > 1. Deterministic for a fixed seed.
+    Requires a finite x > radius * ln(y) with y > 1, and every prefix space
+    [q]^{r'} within DEFAULT_ENUMERATION_GUARD words. Deterministic for a
+    fixed seed.
     """
     if base_policy not in BASE_POLICIES:
         raise ValueError(f"unknown base policy {base_policy!r}; expected one of {BASE_POLICIES}")
@@ -210,63 +270,36 @@ def recursive_construct(
 
     space.check_indexable()
     q = space.q
-    trace = ConstructionTrace(
-        q=q, n=space.n, radius=radius, x=x, y=y, base_policy=base_policy, seed=seed
-    )
-
-    def base_cover(sub: HammingSpace) -> np.ndarray:
-        if sub.n <= radius:
-            trace.base = BaseRecord(sub.n, "trivial", 1)
-            return np.zeros(1, dtype=np.int64)
-        if base_policy == "trivial":
-            raise InfeasibleParamsError(
-                f"base policy 'trivial' stopped at [q]^{sub.n} with n > R={radius}; "
-                "choose y <= n so the recursion can continue, or a solving policy"
-            )
-        method = base_policy
-        if method == "auto":
-            method = "exact" if sub.size <= EXACT_SOLVER_GUARD else "greedy"
-        guard = EXACT_SOLVER_GUARD if method == "exact" else GREEDY_COVER_GUARD
-        if sub.size > guard:
-            raise SpaceTooLargeError(
-                f"base case [{q}]^{sub.n} has {sub.size} words, over the {method} guard "
-                f"{guard} of base policy {base_policy!r}, because floor({sub.n}/{y}) = 0; "
-                f"choose y <= {sub.n} so the recursion can continue, or a smaller n"
-            )
-        if method == "exact":
-            res = minimal_covering_code(sub, radius, node_budget=EXACT_BASE_NODE_BUDGET)
-            status = "exact" if res.status == "optimal" else "exact-incumbent"
-            trace.base = BaseRecord(sub.n, status, len(res.code))
-            return res.code.indices
-        cover = greedy_ball_cover(sub, radius)
-        trace.base = BaseRecord(sub.n, "greedy", len(cover))
-        return cover.indices
-
     # Top-down, until a level misses no prefix or the base case takes over.
     levels = []  # (n, r, DominationResult), top level first
     n = space.n
     words = np.zeros(0, dtype=np.int64)  # K_r of the last level
+    base = None  # stays None when a level misses no prefix
     while n > radius and (r := floor_div_real(n, y)) > 0:
-        dom = dominating_partial(HammingSpace(q, n - r), radius, x, seed=f"{seed}/{len(levels)}")
+        dom = dominating_partial(_prefix_space(q, n, r, y), radius, x, seed=f"{seed}/{len(levels)}")
         levels.append((n, r, dom))
         if not dom.N_bar.size:
             break
         n = r
     else:
-        words = base_cover(HammingSpace(q, n))
+        words, base = _base_code(HammingSpace(q, n), radius, y, base_policy)
 
-    # Bottom-up: fold the levels into the code; each record goes before the deeper ones.
+    # Bottom-up: fold the levels into the code, recording each from the deepest up.
+    records = []
     for n, r, dom in reversed(levels):
         k2_size = len(words)
         words = _level_words(dom.X, dom.N_bar, q**r, words)
-        trace.levels.insert(0, TraceLevel(
+        records.append(TraceLevel(
             n=n, r=r, r_prime=n - r, m=q ** (n - r),
             d=ball_volume(HammingSpace(q, n - r), radius) - 1,
             x_size=len(dom.X), nbar_size=len(dom.N_bar), k2_size=k2_size, k_size=len(words),
         ))
+    records.reverse()
     code = Code(space, words)
-    trace.total_size = len(code)
-    trace.density = density(code, radius)
+    trace = ConstructionTrace(
+        q=q, n=space.n, radius=radius, x=x, y=y, base_policy=base_policy, seed=seed,
+        levels=records, base=base, total_size=len(code), density=density(code, radius),
+    )
     return code, trace
 
 

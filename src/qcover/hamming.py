@@ -38,9 +38,10 @@ class HammingSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or self.q < 2:
+        # bool is an int subclass, but True is neither an alphabet size nor a length
+        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 2:
             raise ValueError(f"alphabet size must be an integer >= 2, got q={self.q!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"word length must be an integer >= 0, got n={self.n!r}")
 
     @property
@@ -180,20 +181,6 @@ def _max_length(q: int, n: int, limit: int) -> int:
     return k
 
 
-def _symbol_blocks(q: int, k: int) -> list:
-    """blocks[t][c]: the bits of a q^k-position word whose digit t (stride q^t) is c.
-
-    Bits at positions q^k and above are padding and lie in no block.
-    """
-    blocks = []
-    for t in range(k):
-        per_symbol = [0] * q
-        for p in range(q**k):
-            per_symbol[p // q**t % q] |= 1 << p
-        blocks.append([np.uint64(b) for b in per_symbol])
-    return blocks
-
-
 def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> np.ndarray:
     """Grow membership masks over word indices by ``radius`` Hamming steps.
 
@@ -206,7 +193,8 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
 
     A boolean mask is packed first: its trailing k coordinates (the largest
     k <= n with q^k <= 64) become the low q^k bits of one uint64, so a step
-    along one of them is shift-and-mask within the word. The other n - k
+    along one of them is shift-and-mask within the word, with one mask per
+    packed digit: the positions where that digit is 0. The other n - k
     coordinates are axes of a (q, ..., q, *payload) grid and a step along
     one is an OR-reduction over that axis. Payload masks, and boolean masks
     with q > 64, run the same loop with k = 0.
@@ -226,17 +214,20 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
         grid = packed.view("<u8").reshape((q,) * (n - k))
     else:
         grid = mask.reshape((q,) * n + mask.shape[1:])
-    blocks = _symbol_blocks(q, k)
+    # zero[t]: the packed positions whose digit t (stride q^t) is 0; padding lies in none
+    zero = [np.uint64(sum(1 << p for p in range(width) if p // q**t % q == 0)) for t in range(k)]
     for _ in range(min(radius, n)):
         out = grid.copy()
         for axis in range(n - k):
             out |= np.bitwise_or.reduce(grid, axis=axis, keepdims=True)
         for t in range(k):
-            # OR the q symbol blocks of digit t into block 0, then copy it back out
+            # symbol c of digit t is (grid >> c*q^t) & zero[t]; OR all q into
+            # the symbol-0 positions, then copy that back out to every symbol
             stride = q**t
-            low = grid & blocks[t][0]
+            low = grid.copy()
             for c in range(1, q):
-                low |= (grid & blocks[t][c]) >> np.uint64(c * stride)
+                low |= grid >> np.uint64(c * stride)
+            low &= zero[t]
             out |= low
             for c in range(1, q):
                 out |= low << np.uint64(c * stride)

@@ -152,10 +152,11 @@ def minimal_covering_code(
         raise ValueError(f"requires node_budget >= 0, got {node_budget!r}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"requires time_budget >= 0, got {time_budget!r}")
-    try:
-        space.check_enumerable(guard)
-    except SpaceTooLargeError as exc:
-        raise SpaceTooLargeError(f"exact solver: {exc}") from exc
+    if space.size > guard:
+        raise SpaceTooLargeError(
+            f"exact solver: q^n = {space.q}^{space.n} = {space.size} exceeds the solver "
+            f"guard {guard}; raise the guard explicitly (qcover solve --max-space)"
+        )
 
     start = time.monotonic()
     m = space.size

@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from pathlib import Path
@@ -525,8 +526,15 @@ def recurrence_limit(a, b):
     return a / (1.0 - b)
 
 
+@lru_cache(maxsize=None)
+def _ratio(y):
+    return Fraction(y).as_integer_ratio()
+
+
 def _floor_div(n, y):
-    return int(Fraction(n) / Fraction(y))
+    """floor(n/y) in exact arithmetic, from y's integer ratio (cached per y)."""
+    num, den = _ratio(y)
+    return n * den // num
 
 
 def simulate_constant_recurrence(a, b, y, s_base, N):

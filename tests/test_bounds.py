@@ -22,6 +22,7 @@ from qcover.bounds import (
     _bound_geometric,
     bound_table_rows,
     floor_div_real,
+    require_feasible,
 )
 
 from oracles import (
@@ -127,6 +128,20 @@ def test_parametric_bound_rejects_infeasible():
         BoundParams(R=2, x=-1.0, y=2.0)
     with pytest.raises(InfeasibleParamsError):
         BoundParams(R=2, x=1.0, y=0.5)
+    # an infinite x, y or mu_star would print Infinity, which is not JSON
+    non_finite = ({"x": math.inf}, {"x": math.nan}, {"y": math.inf}, {"R1": 1, "mu_star": math.inf})
+    for kwargs in non_finite:
+        with pytest.raises(InfeasibleParamsError, match="finite"):
+            BoundParams(**{"R": 2, "x": 4.0, "y": 2.0, **kwargs})
+    with pytest.raises(InfeasibleParamsError, match="finite x"):
+        require_feasible(2, math.inf, 2.0)
+
+
+def test_bound_past_the_double_range():
+    # e^x * y^-R - 1 overflows at x = 800: the tail factor is 1, t is 0
+    p = BoundParams(R=2, x=800.0, y=2.0)
+    assert parametric_bound(p) == 3200.0 and feasibility(p) == 0.0
+    assert feasibility(BoundParams(R=2, x=4.0, y=1e308)) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,8 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"q": 2, "n": 3, "words": ["00"]}))  # wrong length
     status, _, _ = run(capsys, "verify", "--code", str(path), "--R", "1")
     assert status == 2
-    for top in ([], "x", 5, None):  # JSON that is not an object
+    for top in ([], "x", 5, None, {"q": 2, "n": True, "words": ["0", "1"]}):
+        # JSON that is not an object, or a boolean word length
         path.write_text(json.dumps(top))
         status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1")
         assert status == 2 and "cannot read" in err, top
@@ -179,26 +180,60 @@ def test_infeasible_construct_exits_three(tmp_path, capsys):
 
 
 def test_construct_base_guard_names_floor_n_over_y(tmp_path, capsys):
-    # y > n leaves all of [q]^n to the base case; construct has no flag to
-    # raise a base guard, so the message points at y and n instead
+    # y > n leaves all of [q]^n to the base case, and a large y a level's
+    # prefix space [q]^{n - floor(n/y)} over the enumeration guard; construct
+    # has no flag to raise either guard, so the message points at y and n
     cases = [
         # the optimizer's point for R=7: 'auto' picks the greedy cover
         (["--n", "26", "--R", "7", "--x", "26.52", "--y", "27.52"],
          ["[2]^26", "67108864", "greedy guard 16384", "'auto'", "floor(26/27.52) = 0", "y <= 26"]),
         (["--n", "14", "--R", "1", "--x", "4", "--y", "20", "--base-policy", "exact"],
          ["[2]^14", "16384", "exact guard 4096", "'exact'", "floor(14/20.0) = 0", "y <= 14"]),
+        # the optimizer's point for R=3 at n=30: floor(30/10.347) = 2
+        (["--n", "30", "--R", "3", "--x", "9.347", "--y", "10.347"],
+         ["[2]^30", "[2]^28", "268435456", "enumeration guard 67108864",
+          "r' = 30 - floor(30/10.347) = 28", "smaller y", "smaller n"]),
     ]
     out = tmp_path / "c.json"
     for flags, needles in cases:
         status, stdout, err = run(capsys, "construct", "--q", "2", *flags, "--out", str(out))
         assert status == 3 and stdout == "" and not out.exists()
         assert all(needle in err for needle in needles), err
-        assert "raise the guard" not in err
+        assert "raise the guard" not in err and "sampled" not in err
 
 
 def test_solve_guard_exits_three(capsys):
     status, _, err = run(capsys, "solve", "--q", "2", "--n", "20", "--R", "1")
     assert status == 3 and "guard" in err
+    # solve has no sampled mode; --max-space is its one remedy
+    assert "2^20 = 1048576" in err and "guard 4096" in err and "--max-space" in err
+    assert "sampled" not in err
+
+
+def test_construct_huge_x_builds_the_whole_space(tmp_path, capsys):
+    # x*m overflows a float at x = 1e308; the size cap is m from x >= d + 1 on
+    out = tmp_path / "c.json"
+    status, stdout, err = run(capsys, "construct", "--q", "2", "--n", "10", "--R", "1",
+                              "--x", "1e308", "--y", "2", "--out", str(out))
+    assert status == 0 and err == "" and "constructed 1024 codewords" in stdout
+    assert run(capsys, "verify", "--code", str(out), "--R", "1")[:2] == (0, "covered\n")
+
+
+def test_infinite_parameters_exit_three(tmp_path, capsys):
+    # y^R past the double range is infeasible, not an OverflowError
+    cases = [
+        (["bounds", "eval", "--R", "2", "--x", "4", "--y", "1e308"], "x > R*ln(y)"),
+        (["construct", "--q", "2", "--n", "10", "--R", "1", "--x", "inf", "--y", "2",
+          "--out", str(tmp_path / "c.json")], "requires finite x"),
+        (["bounds", "eval", "--R", "2", "--x", "inf", "--y", "2"], "requires finite x"),
+        (["bounds", "eval", "--R", "2", "--x", "4", "--y", "inf"], "requires finite y"),
+        (["bounds", "eval", "--R", "2", "--x", "4", "--y", "2", "--R1", "1", "--mu", "inf"],
+         "requires finite mu_star"),
+    ]
+    for argv, needle in cases:
+        status, out, err = run(capsys, *argv)
+        assert status == 3 and out == "" and needle in err, (argv, err)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_construction_failure_exits_four(tmp_path, capsys, monkeypatch):

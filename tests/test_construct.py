@@ -1,5 +1,6 @@
 """Partial domination, the greedy ball cover, and the recursive construction."""
 
+import dataclasses
 import math
 import random
 
@@ -50,6 +51,13 @@ def test_hamming_graph_view_examples():
     res = dominating_partial(sp0, 0, 0.5, seed=1)
     assert len(res.X) == domination_size_cap(9, 0, 0.5) == 4
     assert frozenset(res.N_bar.tolist()) == frozenset(range(9)) - frozenset(res.X.tolist())
+
+
+def test_domination_size_cap_without_float_overflow():
+    # x * m overflows a float here; the cap is m once x >= d + 1
+    for x in (4.0, 1e300, 1e308, math.inf):
+        assert domination_size_cap(2**20, 3, x) == 2**20
+    assert domination_size_cap(2**20, 3, 3.99) == math.floor(3.99 * 2**20 / 4)
 
 
 def test_dominating_partial_complete_graph():
@@ -193,6 +201,13 @@ def test_construct_covers_and_traces_exactly():
         assert lv.d == ball_volume(HammingSpace(2, lv.r_prime), 2) - 1
         assert lv.k_size == lv.x_size * 2**lv.r + lv.nbar_size * lv.k2_size
     assert trace.levels[0].k_size == len(code)
+
+
+def test_construction_trace_is_frozen():
+    _, trace = recursive_construct(HammingSpace(2, 8), 1, 2.0, 2.0, seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.total_size = 0
+    assert trace.base is not None or trace.levels[-1].nbar_size == 0
 
 
 def test_construct_deterministic_per_seed():

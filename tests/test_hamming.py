@@ -31,6 +31,9 @@ def test_space_validation():
         HammingSpace(1, 3)
     with pytest.raises(ValueError):
         HammingSpace(2, -1)
+    for q, n in [(2, True), (2, False), (True, 3)]:  # bool is an int subclass
+        with pytest.raises(ValueError, match="integer"):
+            HammingSpace(q, n)
     assert HammingSpace(2, 0).size == 1
     assert HammingSpace(3, 4).size == 81
 
