@@ -13,9 +13,13 @@ form, a nested golden-section optimizer over the feasible (x, y) region,
 and the exact floor(n/y) the recursive construction splits by.
 
 Powers of y/(y-1) are evaluated as exp(R * log1p(1/(y-1))) and the
-feasibility factor through expm1 of x - R*ln(y), which keeps both algebraic
-forms of the bound accurate even next to the feasibility boundary and for
-very large R.
+feasibility factor through expm1 of the gap x - R*ln(y), which keeps both
+algebraic forms of the bound accurate even next to the feasibility boundary
+and for very large R. The optimizer's inner search holds y fixed, so it
+computes R*ln(y) and the power once per y and evaluates each x with one
+expm1, in the same float operations as the plain factored form. The public
+bounds raise InfeasibleParamsError when the value is past the double range;
+the optimizer's own evaluations saturate to inf instead.
 """
 
 from __future__ import annotations
@@ -83,17 +87,33 @@ def _ratio_pow(y: float, k: int) -> float:
         return math.inf
 
 
-def _feasibility_tail(R: int, x: float, y: float) -> float:
-    # 1 + 1/(e^x * y^-R - 1), with the denominator through expm1; a
-    # denominator past the double range leaves 1
+def _feasibility_tail(gap: float) -> float:
+    # 1 + 1/(e^x * y^-R - 1) for gap = x - R*ln(y), with the denominator
+    # through expm1; a denominator past the double range leaves 1
     try:
-        return 1.0 + 1.0 / math.expm1(x - R * math.log(y))
+        return 1.0 + 1.0 / math.expm1(gap)
     except OverflowError:
         return 1.0
 
 
 def _bound_factored(R: int, x: float, y: float) -> float:
-    return x * _ratio_pow(y, R) * _feasibility_tail(R, x, y)
+    return x * _ratio_pow(y, R) * _feasibility_tail(x - R * math.log(y))
+
+
+def _bound_given_y(R: int, y: float) -> tuple:
+    """(R*ln(y), the factored bound as a function of x) at fixed R and y.
+
+    The y-only factors are computed once; each call is then one expm1 and
+    the same float operations, in the same order, as :func:`_bound_factored`,
+    so both return equal values.
+    """
+    floor_x = R * math.log(y)
+    rp = _ratio_pow(y, R)
+
+    def bound(x: float) -> float:
+        return x * rp * _feasibility_tail(x - floor_x)
+
+    return floor_x, bound
 
 
 def _bound_geometric(R: int, x: float, y: float) -> float:
@@ -101,10 +121,22 @@ def _bound_geometric(R: int, x: float, y: float) -> float:
     return x * _ratio_pow(y, R) / -math.expm1(R * math.log(y) - x)
 
 
+def _require_finite(value: float, at: str) -> float:
+    """Return ``value``, or raise InfeasibleParamsError if it overflowed the double range."""
+    if not value < math.inf:
+        raise InfeasibleParamsError(
+            f"requires a bound within the double range; it overflows at {at}"
+        )
+    return value
+
+
 def parametric_bound(p: BoundParams) -> float:
-    """Evaluate the bound both ways, insist they agree, return the factored form."""
+    """Evaluate the bound both ways, insist they agree, return the factored form.
+
+    Raises InfeasibleParamsError when the bound is past the double range.
+    """
     require_feasible(p.R, p.x, p.y)
-    a = _bound_factored(p.R, p.x, p.y)
+    a = _require_finite(_bound_factored(p.R, p.x, p.y), f"R={p.R}, x={p.x!r}, y={p.y!r}")
     b = _bound_geometric(p.R, p.x, p.y)
     if not math.isclose(a, b, rel_tol=1e-9):
         raise ArithmeticError(f"bound forms disagree: {a!r} vs {b!r}")
@@ -117,15 +149,19 @@ def nested_parametric_bound(p: BoundParams) -> float:
     With R1 = 0 and mu_star = 1 this reduces to :func:`parametric_bound`
     bit for bit (the extra factors are exact 1.0 multiplications). When
     ``mu_star`` is omitted it defaults to 1 for R1 = 0 and to the optimized
-    parametric bound at radius R1 otherwise.
+    parametric bound at radius R1 otherwise. Raises InfeasibleParamsError
+    when the bound, or one of its factors, is past the double range.
     """
     r1 = p.R1 if p.R1 is not None else 0  # BoundParams enforces 0 <= R1 < R
     mu = p.mu_star if p.mu_star is not None else default_mu_star(r1)
     require_feasible(p.R, p.x, p.y)
-    inv_binom = 1.0 / math.comb(p.R, r1)
-    y_pow = p.y**r1
-    tail = _feasibility_tail(p.R, p.x, p.y)
-    return p.x * inv_binom * y_pow * _ratio_pow(p.y, p.R - r1) * tail * mu
+    at = f"R={p.R}, x={p.x!r}, y={p.y!r}, R1={r1}, mu_star={mu!r}"
+    tail = _feasibility_tail(p.x - p.R * math.log(p.y))
+    try:
+        value = p.x * (1.0 / math.comb(p.R, r1)) * p.y**r1 * _ratio_pow(p.y, p.R - r1) * tail * mu
+    except OverflowError:  # C(R, R1) or y^R1 past the double range
+        value = math.inf
+    return _require_finite(value, at)
 
 
 def default_mu_star(R1: int) -> float:
@@ -230,10 +266,12 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
 
     Nested golden-section search: the outer pass moves ln(y - 1) over
     [ln 1e-6, ln(y_hi - 1)] with y_hi = 10 R ln(R + 2) + 10, and the inner
-    pass moves x over (R ln y, R ln y + 20 ln(R + 2)]. Three outer bracket
-    seeds plus a local polish hedge against flat valleys, and for R >= 6 the
-    chain-check parameter point joins the candidate pool, so the result
-    never loses to it.
+    pass moves x over (R ln y, R ln y + 20 ln(R + 2)]. The inner pass
+    evaluates a per-y function of x (:func:`_bound_given_y`) that computes
+    R ln y and (y/(y-1))^R once, and equals the full factored form bit for
+    bit. Three outer bracket seeds plus a local polish hedge against flat
+    valleys, and for R >= 6 the chain-check parameter point joins the
+    candidate pool, so the result never loses to it.
     """
     if R < 1:
         raise InfeasibleParamsError(f"requires R >= 1, got {R}")
@@ -241,8 +279,8 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
     x_span = 20.0 * math.log(R + 2.0)
 
     def best_x_for(y: float) -> tuple:
-        floor_x = R * math.log(y)
-        return _golden_min(lambda x: _bound_factored(R, x, y), floor_x + 1e-9, floor_x + x_span)
+        floor_x, bound = _bound_given_y(R, y)
+        return _golden_min(bound, floor_x + 1e-9, floor_x + x_span)
 
     def outer(u: float) -> float:
         return best_x_for(1.0 + math.exp(u))[1]

@@ -106,6 +106,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_OK
     else:
         _warn_guard_override("verification", args.max_space, DEFAULT_ENUMERATION_GUARD)
+        try:
+            code.space.check_enumerable(args.max_space)
+        except SpaceTooLargeError as exc:
+            raise SpaceTooLargeError(
+                f"{exc}; raise it with --max-space or spot-check with --sampled N"
+            ) from None
         verdict = verify_covering(code, args.R, guard=args.max_space)
         if verdict.covered:
             print("covered")
@@ -160,7 +166,7 @@ def _bounds_eval_values(args: argparse.Namespace) -> dict:
 def cmd_bounds_eval(args: argparse.Namespace) -> int:
     values = _bounds_eval_values(args)
     if args.format == "json":
-        print(json.dumps(values, sort_keys=True, indent=2))
+        print(json.dumps(values, sort_keys=True, indent=2, allow_nan=False))
     else:
         for key in sorted(values):
             v = values[key]

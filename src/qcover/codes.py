@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import SpaceTooLargeError
 from .hamming import (
     DEFAULT_ENUMERATION_GUARD,
     INDEX_LIMIT,
@@ -124,7 +125,10 @@ def verify_covering(
 ) -> CoverVerdict:
     """Exhaustively decide whether every word is within ``radius`` of the code."""
     sp = code.space
-    sp.check_enumerable(guard)
+    try:
+        sp.check_enumerable(guard)
+    except SpaceTooLargeError as exc:
+        raise SpaceTooLargeError(f"{exc}; raise guard= or use verify_covering_sampled") from None
     holes = uncovered_indices(sp, code.indices, radius)
     if holes.size == 0:
         return CoverVerdict(True)

@@ -71,8 +71,7 @@ class HammingSpace:
         """Raise SpaceTooLargeError if a full scan of this space exceeds ``limit``."""
         if self.size > limit:
             raise SpaceTooLargeError(
-                f"q^n = {self.q}^{self.n} = {self.size} exceeds the enumeration "
-                f"guard {limit}; raise the guard explicitly or use sampled checks"
+                f"q^n = {self.q}^{self.n} = {self.size} exceeds the enumeration guard {limit}"
             )
 
 

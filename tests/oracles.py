@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional
 import mpmath as mp
 import numpy as np
 
+from qcover.bounds import OptimizationResult, _bound_factored, _chain_params, _golden_min
 from qcover.codes import Code, CoverVerdict, code_from_dict, density
 from qcover.errors import InfeasibleParamsError
 from qcover.hamming import (
@@ -464,6 +465,50 @@ def mp_optimal_bound(R):
             d = a + inv_phi * (b - a)
             fd = at(d)
     return min(fc, fd)
+
+
+def reference_optimize_parametric_bound(R):
+    """The optimizer as it was before its inner search took a per-y function.
+
+    Kept verbatim, with every inner evaluation a full
+    ``_bound_factored(R, x, y)`` call: the library's per-y search must
+    return an equal result, float for float.
+    """
+    if R < 1:
+        raise InfeasibleParamsError(f"requires R >= 1, got {R}")
+    y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
+    x_span = 20.0 * math.log(R + 2.0)
+
+    def best_x_for(y):
+        floor_x = R * math.log(y)
+        return _golden_min(lambda x: _bound_factored(R, x, y), floor_x + 1e-9, floor_x + x_span)
+
+    def outer(u):
+        return best_x_for(1.0 + math.exp(u))[1]
+
+    u_lo, u_hi = math.log(1e-6), math.log(y_hi - 1.0)
+    u_mid = 0.5 * (u_lo + u_hi)
+    candidates = []
+
+    def add_bracket(a, b):
+        u, _ = _golden_min(outer, a, b)
+        y = 1.0 + math.exp(u)
+        x, val = best_x_for(y)
+        candidates.append((val, x, y))
+
+    add_bracket(u_lo, u_hi)
+    add_bracket(u_lo, u_mid)
+    add_bracket(u_mid, u_hi)
+    if R >= 6:
+        xc, yc = _chain_params(R)
+        if 1.0 < yc < y_hi:
+            candidates.append((_bound_factored(R, xc, yc), xc, yc))
+    _, _, y0 = min(candidates)
+    u0 = math.log(y0 - 1.0)
+    add_bracket(max(u_lo, u0 - 2.0), min(u_hi, u0 + 2.0))
+
+    val, x, y = min(candidates)
+    return OptimizationResult(x=x, y=y, bound=val)
 
 
 class MpChain(NamedTuple):

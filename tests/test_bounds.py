@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcover import (
     BoundParams,
@@ -20,6 +22,7 @@ from qcover.bounds import (
     BOUND_TABLE_HEADER,
     _bound_factored,
     _bound_geometric,
+    _bound_given_y,
     bound_table_rows,
     floor_div_real,
     require_feasible,
@@ -34,6 +37,7 @@ from oracles import (
     mp_parametric_bound,
     recurrence_depth,
     recurrence_limit,
+    reference_optimize_parametric_bound,
     sample_feasible_params,
     simulate_constant_recurrence,
     telescoped_error_bound,
@@ -301,6 +305,32 @@ def test_optimizer_matches_mp_optimal_bound():
     # the oracle's region is wider than the optimizer's in both x and y
     for R in (1, 2, 3, 6, 10, 50, 200):
         assert rel_err(optimize_parametric_bound(R).bound, float(mp_optimal_bound(R))) <= 1e-9
+
+
+@pytest.mark.parametrize("R", [*range(1, 61), 100, 200, 1000, 10_000])
+def test_optimizer_equals_reference_float_for_float(R):
+    assert optimize_parametric_bound(R) == reference_optimize_parametric_bound(R)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    R=st.one_of(st.integers(1, 300), st.integers(300, 10**6)),
+    # y - 1 at most 1e-14 saturates (y/(y-1))^R to inf once R > 22
+    y_minus_1=st.one_of(st.floats(1e-15, 1e-14), st.floats(1e-14, 1e6)),
+    # gaps next to the feasibility boundary, and past 709 where expm1 overflows
+    gap=st.one_of(st.floats(0.0, 1e-9), st.floats(1e-9, 709.0), st.floats(709.0, 1e5)),
+)
+@example(R=3, y_minus_1=1.0, gap=1e-12)
+@example(R=3, y_minus_1=1.0, gap=800.0)
+@example(R=10_000, y_minus_1=1e-15, gap=1.0)
+def test_bound_given_y_equals_bound_factored(R, y_minus_1, gap):
+    y = 1.0 + y_minus_1
+    floor_x, bound = _bound_given_y(R, y)
+    assert floor_x == R * math.log(y)
+    # the smallest feasible x is one ulp above R*ln(y)
+    x = max(floor_x + gap, math.nextafter(floor_x, math.inf))
+    got, want = bound(x), _bound_factored(R, x, y)
+    assert got == want, (R, x, y, got, want)
 
 
 def test_optimizer_rejects_bad_R():

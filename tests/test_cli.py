@@ -109,7 +109,10 @@ def test_verify_guard_suggests_sampling(tmp_path, capsys):
     path.write_text(json.dumps({"q": 2, "n": 30, "words": ["0" * 30]}))
     status, _, err = run(capsys, "verify", "--code", str(path), "--R", "1")
     assert status == 3
-    assert "guard" in err
+    assert "2^30 = 1073741824" in err and "guard 67108864" in err
+    # the CLI's two remedies, not the library's guard= and function name
+    assert "--max-space" in err and "--sampled" in err
+    assert "guard=" not in err and "verify_covering_sampled" not in err
 
 
 def test_missing_file_exits_two(capsys):
@@ -234,6 +237,23 @@ def test_infinite_parameters_exit_three(tmp_path, capsys):
         status, out, err = run(capsys, *argv)
         assert status == 3 and out == "" and needle in err, (argv, err)
     assert not (tmp_path / "c.json").exists()
+
+
+def test_bounds_eval_overflow_exits_three(capsys):
+    # finite inputs whose bound is past the double range: JSON has no Infinity
+    cases = [
+        (["--R", "2", "--x", "1e308", "--y", "2"], "R=2, x=1e+308, y=2.0"),
+        (["--R", "2", "--x", "4", "--y", "2", "--R1", "1", "--mu", "1e308"],
+         "R1=1, mu_star=1e+308"),
+        # C(2000, 1000) and 1000^1000 are past the double range; the plain bound is not
+        (["--R", "2000", "--x", "14000", "--y", "1000", "--R1", "1000", "--mu", "1"],
+         "R1=1000, mu_star=1.0"),
+    ]
+    for argv, needle in cases:
+        for fmt in ("json", "text"):
+            status, out, err = run(capsys, "bounds", "eval", *argv, "--format", fmt)
+            assert status == 3 and out == "", (argv, fmt)
+            assert "requires a bound within the double range" in err and needle in err, err
 
 
 def test_construction_failure_exits_four(tmp_path, capsys, monkeypatch):

@@ -336,7 +336,8 @@ def test_covered_codes_have_density_at_least_one():
 def test_guard_rejects_huge_exhaustive_check():
     sp = HammingSpace(2, 30)
     code = reference_from_words(sp, [(0,) * 30])
-    with pytest.raises(SpaceTooLargeError):
+    # verify_covering has both remedies, so its message names them
+    with pytest.raises(SpaceTooLargeError, match="raise guard= or use verify_covering_sampled"):
         verify_covering(code, 1)
     # sampled mode has no guard
     assert verify_covering_sampled(code, 30, 5, seed=0).found_uncovered is False

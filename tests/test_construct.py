@@ -13,6 +13,7 @@ from qcover import (
     DominationFailure,
     HammingSpace,
     InfeasibleParamsError,
+    SpaceTooLargeError,
     ball_volume,
     dominating_partial,
     greedy_ball_cover,
@@ -154,6 +155,18 @@ def test_dominating_partial_failure_carries_best_attempt():
 def test_dominating_partial_rejects_nonpositive_x():
     with pytest.raises(InfeasibleParamsError):
         dominating_partial(HammingSpace(4, 1), 1, 0.0)
+
+
+def test_library_guard_messages_name_no_remedy_they_lack():
+    # neither function takes a guard argument or has a sampled mode
+    for call, needle in ((lambda: dominating_partial(HammingSpace(2, 27), 1, 2.0),
+                          "2^27 = 134217728 exceeds the enumeration guard 67108864"),
+                         (lambda: greedy_ball_cover(HammingSpace(2, 15), 1),
+                          "2^15 = 32768 exceeds the enumeration guard 16384")):
+        with pytest.raises(SpaceTooLargeError) as info:
+            call()
+        msg = str(info.value)
+        assert needle in msg and "sampled" not in msg and "raise the guard" not in msg
 
 
 def test_greedy_ball_cover_is_covering():

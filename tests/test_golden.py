@@ -1,8 +1,11 @@
-"""Golden digests: code, trace and solve JSON must stay byte-identical.
+"""Golden digests: code, trace, solve JSON and the bound table must stay byte-identical.
 
-The sha256 values were recorded from the tuple-based implementation that
-preceded the integer-index ``Code``; any change to the file formats, the
-construction's randomness or its materialization order shows up here.
+The code, trace and solve sha256 values were recorded from the tuple-based
+implementation that preceded the integer-index ``Code``; any change to the
+file formats, the construction's randomness or its materialization order
+shows up here. The bound table's was recorded from the optimizer whose
+inner search evaluated ``_bound_factored(R, x, y)`` in full at every x; it
+pins every optimized (x, y, bound) to the last bit.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import math
 import pytest
 
 from qcover import HammingSpace, minimal_covering_code, recursive_construct
+from qcover.cli import main
 from qcover.codes import dumps_code
 from qcover.construct import dumps_trace
 
@@ -70,3 +74,12 @@ def test_solve_output_byte_identical(q, n, R, want):
     res = minimal_covering_code(HammingSpace(q, n), R)
     text = json.dumps(res.to_json_dict(), sort_keys=True, indent=2) + "\n"
     assert sha256(text) == want
+
+
+# sha256 of `qcover bounds table --R-min 1 --R-max 60`
+BOUND_TABLE_R1_60 = "01ea361e2336d6d335e4d59ffb8ea7a0752ee512836a501ff43e4a5456d5d0b1"
+
+
+def test_bound_table_byte_identical(capsys):
+    assert main(["bounds", "table", "--R-min", "1", "--R-max", "60"]) == 0
+    assert sha256(capsys.readouterr().out) == BOUND_TABLE_R1_60
