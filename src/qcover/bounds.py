@@ -15,10 +15,10 @@ and the exact floor(n/y) the recursive construction splits by.
 Powers of y/(y-1) are evaluated as exp(R * log1p(1/(y-1))) and the
 feasibility factor through expm1 of the gap x - R*ln(y), which keeps both
 algebraic forms of the bound accurate even next to the feasibility boundary
-and for very large R. The optimizer's inner search holds y fixed, so it
-computes R*ln(y) and the power once per y and evaluates each x with one
-expm1, in the same float operations as the plain factored form. The public
-bounds raise InfeasibleParamsError when the value is past the double range;
+and for very large R. The optimizer's inner search over x is one fused loop
+that computes R*ln(y) and the power once per y and evaluates each x inline,
+in the same float operations as the plain factored form. The public bounds
+raise InfeasibleParamsError when the value, or R, is past the double range;
 the optimizer's own evaluations saturate to inf instead.
 """
 
@@ -30,6 +30,16 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, NamedTuple, Optional
 
 from .errors import InfeasibleParamsError
+
+
+def _require_double_R(R: int) -> None:
+    """Raise InfeasibleParamsError unless R converts to a float, as every formula needs."""
+    try:
+        float(R)
+    except OverflowError:
+        raise InfeasibleParamsError(
+            f"requires R that converts to a double (R < 2^1024 - 2^970), got a {R.bit_length()}-bit R"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,7 @@ class BoundParams:
     def __post_init__(self) -> None:
         if not isinstance(self.R, int) or self.R < 1:
             raise InfeasibleParamsError(f"requires integer R >= 1, got {self.R!r}")
+        _require_double_R(self.R)
         if not 0 < self.x < math.inf:
             raise InfeasibleParamsError(f"requires finite x > 0, got {self.x!r}")
         if not 1 < self.y < math.inf:
@@ -89,31 +100,18 @@ def _ratio_pow(y: float, k: int) -> float:
 
 def _feasibility_tail(gap: float) -> float:
     # 1 + 1/(e^x * y^-R - 1) for gap = x - R*ln(y), with the denominator
-    # through expm1; a denominator past the double range leaves 1
+    # through expm1; a denominator past the double range leaves 1, and a
+    # zero gap (x rounded onto R*ln(y)) gives inf. _golden_min_x inlines it.
     try:
         return 1.0 + 1.0 / math.expm1(gap)
     except OverflowError:
         return 1.0
+    except ZeroDivisionError:
+        return math.inf
 
 
 def _bound_factored(R: int, x: float, y: float) -> float:
     return x * _ratio_pow(y, R) * _feasibility_tail(x - R * math.log(y))
-
-
-def _bound_given_y(R: int, y: float) -> tuple:
-    """(R*ln(y), the factored bound as a function of x) at fixed R and y.
-
-    The y-only factors are computed once; each call is then one expm1 and
-    the same float operations, in the same order, as :func:`_bound_factored`,
-    so both return equal values.
-    """
-    floor_x = R * math.log(y)
-    rp = _ratio_pow(y, R)
-
-    def bound(x: float) -> float:
-        return x * rp * _feasibility_tail(x - floor_x)
-
-    return floor_x, bound
 
 
 def _bound_geometric(R: int, x: float, y: float) -> float:
@@ -210,11 +208,13 @@ def closed_form_chain_check(R: int) -> Optional[str]:
     """
     if R < 2:
         raise ValueError(f"requires R >= 2 so that ln ln R and R^2 - 1 behave, got {R}")
+    _require_double_R(R)
     ln_r = math.log(R)
+    r_sq = float(R) * R  # past the double range: inf, not OverflowError
     x, y = _chain_params(R)
-    if not math.isclose(feasibility(BoundParams(R=R, x=x, y=y)), 1.0 / (R * R), rel_tol=1e-9):
+    if not math.isclose(feasibility(BoundParams(R=R, x=x, y=y)), 1.0 / r_sq, rel_tol=1e-9):
         return "t"
-    if not x * (1.0 + 1.0 / (R * R - 1.0)) < R * (ln_r + math.log(ln_r) + 0.8):
+    if not x * (1.0 + 1.0 / (r_sq - 1.0)) < R * (ln_r + math.log(ln_r) + 0.8):
         return "i"
     if not _ratio_pow(y, R) <= math.exp(1.0 / ln_r):
         return "ii"
@@ -231,7 +231,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple:
-    """Golden-section minimum of f on [lo, hi]; returns the best evaluated point."""
+    """Golden-section minimum of f on [lo, hi]; returns the best evaluated point.
+
+    The optimizer's outer search runs here; its objective, the inner search,
+    runs the same steps in :func:`_golden_min_x`.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -255,6 +259,47 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple:
     return best_x, best_f
 
 
+def _golden_min_x(floor_x: float, rp: float, lo: float, hi: float) -> tuple:
+    """:func:`_golden_min` of the factored bound over x on [lo, hi], fused.
+
+    ``floor_x`` is R*ln(y) <= lo and ``rp`` is (y/(y-1))^R. The steps are
+    _golden_min's and each evaluation is :func:`_bound_factored`'s float
+    operations in order, so the result is equal bit for bit; inlining saves
+    two Python calls per evaluation. As a >= floor_x > 0, the stop test needs
+    no abs(), and the loop's points, far more than an ulp above a, never
+    reach a zero gap.
+    """
+    expm1 = math.expm1
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc = c * rp * _feasibility_tail(c - floor_x)
+    fd = d * rp * _feasibility_tail(d - floor_x)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(300):
+        if b - a <= 1e-10 * (a + b + 1e-12):  # relative bracket width
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            try:
+                fc = c * rp * (1.0 + 1.0 / expm1(c - floor_x))
+            except OverflowError:
+                fc = c * rp * 1.0
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            try:
+                fd = d * rp * (1.0 + 1.0 / expm1(d - floor_x))
+            except OverflowError:
+                fd = d * rp * 1.0
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
+
+
 class OptimizationResult(NamedTuple):
     x: float
     y: float
@@ -266,21 +311,22 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
 
     Nested golden-section search: the outer pass moves ln(y - 1) over
     [ln 1e-6, ln(y_hi - 1)] with y_hi = 10 R ln(R + 2) + 10, and the inner
-    pass moves x over (R ln y, R ln y + 20 ln(R + 2)]. The inner pass
-    evaluates a per-y function of x (:func:`_bound_given_y`) that computes
-    R ln y and (y/(y-1))^R once, and equals the full factored form bit for
-    bit. Three outer bracket seeds plus a local polish hedge against flat
-    valleys, and for R >= 6 the chain-check parameter point joins the
-    candidate pool, so the result never loses to it.
+    pass moves x over (R ln y, R ln y + 20 ln(R + 2)] in one fused loop,
+    :func:`_golden_min_x`, equal bit for bit to the generic search over the
+    factored form. Three outer bracket seeds plus a local polish hedge
+    against flat valleys, and for R >= 6 the chain-check parameter point
+    joins the candidate pool, so the result never loses to it. Raises
+    InfeasibleParamsError when the best bound is inf, as from R near 2^60.
     """
     if R < 1:
         raise InfeasibleParamsError(f"requires R >= 1, got {R}")
+    _require_double_R(R)
     y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
     x_span = 20.0 * math.log(R + 2.0)
 
     def best_x_for(y: float) -> tuple:
-        floor_x, bound = _bound_given_y(R, y)
-        return _golden_min(bound, floor_x + 1e-9, floor_x + x_span)
+        floor_x = R * math.log(y)
+        return _golden_min_x(floor_x, _ratio_pow(y, R), floor_x + 1e-9, floor_x + x_span)
 
     def outer(u: float) -> float:
         return best_x_for(1.0 + math.exp(u))[1]
@@ -307,6 +353,10 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
     add_bracket(max(u_lo, u0 - 2.0), min(u_hi, u0 + 2.0))
 
     val, x, y = min(candidates)
+    if not val < math.inf:
+        raise InfeasibleParamsError(
+            f"requires an R whose optimized bound is finite in doubles, got R={R}"
+        )
     return OptimizationResult(x=x, y=y, bound=val)
 
 
@@ -344,6 +394,7 @@ def bound_table_rows(r_min: int, r_max: int) -> Iterator[tuple]:
     """
     if r_min < 1 or r_max < r_min:
         raise ValueError(f"requires 1 <= r_min <= r_max, got [{r_min}, {r_max}]")
+    _require_double_R(r_max)
     for R in range(r_min, r_max + 1):
         opt = optimize_parametric_bound(R)
         t = feasibility(BoundParams(R=R, x=opt.x, y=opt.y))

@@ -468,11 +468,11 @@ def mp_optimal_bound(R):
 
 
 def reference_optimize_parametric_bound(R):
-    """The optimizer as it was before its inner search took a per-y function.
+    """The optimizer as it was before its inner search was fused.
 
-    Kept verbatim, with every inner evaluation a full
-    ``_bound_factored(R, x, y)`` call: the library's per-y search must
-    return an equal result, float for float.
+    Kept verbatim, with the generic golden-section search over a full
+    ``_bound_factored(R, x, y)`` call at every x: the library's fused inner
+    search must return an equal result, float for float.
     """
     if R < 1:
         raise InfeasibleParamsError(f"requires R >= 1, got {R}")

@@ -22,7 +22,10 @@ from qcover.bounds import (
     BOUND_TABLE_HEADER,
     _bound_factored,
     _bound_geometric,
-    _bound_given_y,
+    _feasibility_tail,
+    _golden_min,
+    _golden_min_x,
+    _ratio_pow,
     bound_table_rows,
     floor_div_real,
     require_feasible,
@@ -146,6 +149,25 @@ def test_bound_past_the_double_range():
     p = BoundParams(R=2, x=800.0, y=2.0)
     assert parametric_bound(p) == 3200.0 and feasibility(p) == 0.0
     assert feasibility(BoundParams(R=2, x=4.0, y=1e308)) == math.inf
+    # a zero gap is x rounded onto the boundary, where the bound is inf
+    assert _feasibility_tail(0.0) == math.inf
+    assert _bound_factored(2**60, 2**60 * math.log(2.0) + 1e-9, 2.0) == math.inf
+
+
+def test_R_past_the_double_range_is_rejected():
+    # one rule for every entry point: R must convert to a float
+    for R in (10**400, 2**1024 - 2**970):
+        with pytest.raises(InfeasibleParamsError, match="converts to a double"):
+            BoundParams(R=R, x=1500.0, y=2.0)
+        with pytest.raises(InfeasibleParamsError, match="converts to a double"):
+            next(bound_table_rows(1, R))
+        with pytest.raises(InfeasibleParamsError, match="converts to a double"):
+            closed_form_chain_check(R)
+        with pytest.raises(InfeasibleParamsError, match="converts to a double"):
+            optimize_parametric_bound(R)
+    # the largest R that converts is accepted; R^2 past the range is no error
+    BoundParams(R=2**1024 - 2**970 - 1, x=1500.0, y=2.0)
+    assert closed_form_chain_check(10**200) == "t"
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +329,52 @@ def test_optimizer_matches_mp_optimal_bound():
         assert rel_err(optimize_parametric_bound(R).bound, float(mp_optimal_bound(R))) <= 1e-9
 
 
-@pytest.mark.parametrize("R", [*range(1, 61), 100, 200, 1000, 10_000])
+@pytest.mark.parametrize("R", [*range(1, 61), 100, 200, 1000, 10_000, 10**5, 10**6])
 def test_optimizer_equals_reference_float_for_float(R):
     assert optimize_parametric_bound(R) == reference_optimize_parametric_bound(R)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    R=st.one_of(st.integers(1, 300), st.integers(300, 10**6)),
+    # from 2^53 on, x = R*ln(y) + gap can round onto the boundary (gap 0)
+    R=st.one_of(st.integers(1, 300), st.integers(300, 10**6), st.integers(2**53, 2**62)),
     # y - 1 at most 1e-14 saturates (y/(y-1))^R to inf once R > 22
     y_minus_1=st.one_of(st.floats(1e-15, 1e-14), st.floats(1e-14, 1e6)),
-    # gaps next to the feasibility boundary, and past 709 where expm1 overflows
-    gap=st.one_of(st.floats(0.0, 1e-9), st.floats(1e-9, 709.0), st.floats(709.0, 1e5)),
+    # brackets from the feasibility boundary, and past 709 where expm1 overflows
+    gap=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(1e-9, 709.0),
+                  st.floats(709.0, 1e5)),
+    width=st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(1e-6, 1e3)),
 )
-@example(R=3, y_minus_1=1.0, gap=1e-12)
-@example(R=3, y_minus_1=1.0, gap=800.0)
-@example(R=10_000, y_minus_1=1e-15, gap=1.0)
-def test_bound_given_y_equals_bound_factored(R, y_minus_1, gap):
+@example(R=3, y_minus_1=1.0, gap=1e-12, width=1.0)
+@example(R=3, y_minus_1=1.0, gap=0.0, width=0.0)
+@example(R=3, y_minus_1=1.0, gap=700.0, width=100.0)
+@example(R=10_000, y_minus_1=1e-15, gap=1e-9, width=200.0)
+# x rounds onto the boundary: both points are at gap 0
+@example(R=2**60, y_minus_1=1.0, gap=1e-9, width=1e-6)
+# the optimizer's bracket at R = 2^55 is three ulps wide
+@example(R=2**55, y_minus_1=7.4e17, gap=1e-9, width=20.0 * math.log(2**55 + 2.0))
+def test_golden_min_x_equals_golden_min_of_bound_factored(R, y_minus_1, gap, width):
     y = 1.0 + y_minus_1
-    floor_x, bound = _bound_given_y(R, y)
-    assert floor_x == R * math.log(y)
-    # the smallest feasible x is one ulp above R*ln(y)
-    x = max(floor_x + gap, math.nextafter(floor_x, math.inf))
-    got, want = bound(x), _bound_factored(R, x, y)
-    assert got == want, (R, x, y, got, want)
+    floor_x = R * math.log(y)
+    lo = floor_x + gap
+    hi = lo + width
+    got = _golden_min_x(floor_x, _ratio_pow(y, R), lo, hi)
+    want = _golden_min(lambda x: _bound_factored(R, x, y), lo, hi)
+    assert got == want, (R, y, lo, hi, got, want)
 
 
 def test_optimizer_rejects_bad_R():
     with pytest.raises(InfeasibleParamsError):
         optimize_parametric_bound(0)
+
+
+def test_optimizer_rejects_R_with_no_finite_bound():
+    # from about 2^60, at every y either (y/(y-1))^R overflows or the x
+    # bracket rounds onto R*ln(y)
+    assert math.isfinite(optimize_parametric_bound(2**54).bound)
+    assert math.isfinite(optimize_parametric_bound(2**55).bound)
+    with pytest.raises(InfeasibleParamsError, match="finite in doubles"):
+        optimize_parametric_bound(2**60)
 
 
 # ---------------------------------------------------------------------------

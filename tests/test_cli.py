@@ -256,6 +256,27 @@ def test_bounds_eval_overflow_exits_three(capsys):
             assert "requires a bound within the double range" in err and needle in err, err
 
 
+def test_bounds_R_past_the_double_range_exits_three(capsys):
+    big = str(10**400)
+    cases = [
+        ["eval", "--R", big, "--x", "1500", "--y", "2"],
+        ["table", "--R-min", big, "--R-max", big],
+        ["check-corollary", "--R-min", big, "--R-max", big],
+    ]
+    for argv in cases:
+        status, out, err = run(capsys, "bounds", *argv)
+        assert status == 3 and out == "", argv
+        assert "converts to a double" in err and "1329-bit R" in err, err
+
+
+def test_bounds_table_with_no_finite_optimum_exits_three(capsys):
+    # at R = 2^60 no point of the optimizer's search has a finite bound
+    R = str(2**60)
+    status, out, err = run(capsys, "bounds", "table", "--R-min", R, "--R-max", R)
+    assert status == 3 and out == ""
+    assert f"finite in doubles, got R={R}" in err
+
+
 def test_construction_failure_exits_four(tmp_path, capsys, monkeypatch):
     # domination failures are too rare to stage through real flags; check the
     # exit-code mapping by making the builder raise
