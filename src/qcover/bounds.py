@@ -212,6 +212,10 @@ def closed_form_chain_check(R: int) -> Optional[str]:
     ln_r = math.log(R)
     r_sq = float(R) * R  # past the double range: inf, not OverflowError
     x, y = _chain_params(R)
+    # from about R = 2^1014.5, y = R ln R + 1 (and with it x) overflows, so
+    # the identity cannot be checked in doubles: step (t) fails
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return "t"
     if not math.isclose(feasibility(BoundParams(R=R, x=x, y=y)), 1.0 / r_sq, rel_tol=1e-9):
         return "t"
     if not x * (1.0 + 1.0 / (r_sq - 1.0)) < R * (ln_r + math.log(ln_r) + 0.8):

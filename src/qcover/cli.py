@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -102,7 +103,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.sampled is not None:
         verdict = verify_covering_sampled(code, args.R, args.sampled, seed=args.seed)
         if not verdict.found_uncovered:
-            print(f"no-counterexample after {verdict.samples} samples (not a covering proof)")
+            n = verdict.samples
+            print(f"no-counterexample after {n} samples (not a covering proof)")
+            # a fraction p of uncovered words goes unsampled with probability
+            # (1-p)^N <= exp(-pN), which is at most 1/20 once p >= ln(20)/N
+            print(f"with 95% confidence the uncovered fraction is below ln(20)/{n} = "
+                  f"{_fmt(math.log(20) / n)}")
             return EXIT_OK
     else:
         _warn_guard_override("verification", args.max_space, DEFAULT_ENUMERATION_GUARD)

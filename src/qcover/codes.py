@@ -11,7 +11,9 @@ its bytes; any other valid JSON layout goes through ``json``, with the same
 result. A density is an exact ``Fraction``. Exhaustive covering
 verification asks :func:`~qcover.hamming.uncovered_indices` for the words
 the code misses. Sampled verification spot-checks random words on spaces
-too large to enumerate.
+too large to enumerate: it binary-searches the indices of each word's
+radius-R ball in the code's sorted indices, or, when that ball outgrows the
+code, scans the code's digit columns once per word.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
@@ -141,22 +144,76 @@ def verify_covering_sampled(
     """Spot-check ``samples`` uniform random words against the code.
 
     Usable on spaces far beyond the enumeration guard. Deterministic for a
-    fixed seed. Each sample costs one vectorized distance test against the
-    code's digit columns, whatever the radius.
+    fixed seed: the samples are drawn from one seeded stream in a fixed
+    order, and a failing verdict names the first uncovered one. A sample
+    costs min(V * log2|K|, n * |K|), with V = V_q(n, R), decided per run in
+    exact integers. When V * bit_length(|K|) <= n * |K|, the V indices of
+    its radius-R ball are binary-searched in ``code.indices``, a batch of
+    samples at a time: the neighbour of w with digit p changed to
+    (w_p + c) mod q has index idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p),
+    and :func:`_ball_offsets` names the terms to add for each
+    word of the ball. Otherwise (large radii, the empty code) a sample is
+    one distance test against the code's digit columns.
     """
     check_radius(radius)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     sp = code.space
+    q, n, r = sp.q, sp.n, min(radius, sp.n)
     rng = random.Random(f"sampled-verify:{seed}")
-    columns = np.ascontiguousarray(indices_to_digits(sp, code.indices).T)  # (n, |K|)
-    dist_dtype = np.min_scalar_type(sp.n)
-    for k in range(samples):
-        w = tuple(rng.randrange(sp.q) for _ in range(sp.n))
-        mismatched = columns != np.asarray(w, dtype=columns.dtype)[:, None]
-        if not np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius):
-            return SampleVerdict(True, w, k + 1)
+    size, volume, indices = len(code), ball_volume(sp, radius), code.indices
+    if size and volume * size.bit_length() <= n * size:
+        ball = _ball_offsets(sp, r)
+        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        # s * V * max(r, 1) <= 2^16 bounds a batch of s samples: its (s, V, r)
+        # gathered offsets and (s, V) indices hold at most 2^16 elements each,
+        # its (s, n, q) offsets twice that (n*q < 2V when r >= 1)
+        batch = max(1, (1 << 16) // (volume * max(r, 1)))
+    else:
+        ball, batch = None, 1
+        columns = np.ascontiguousarray(indices_to_digits(sp, indices).T)  # (n, |K|)
+        dist_dtype = np.min_scalar_type(n)
+    done = 0
+    while done < samples:
+        words = []
+        for _ in range(min(batch, samples - done)):
+            words.append(tuple(rng.randrange(q) for _ in range(n)))
+        if ball is None:
+            mismatched = columns != np.asarray(words[0], dtype=columns.dtype)[:, None]
+            covered = np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius, keepdims=True)
+        else:
+            digits = np.array(words, np.int64)  # (s, n)
+            at = (digits @ weights)[:, None]
+            if r:
+                w = digits[:, :, None]
+                offsets = ((w + np.arange(q)) % q - w) * weights[:, None]  # (s, n, q)
+                at = at + offsets.reshape(len(words), n * q)[:, ball].sum(axis=2)  # (s, V)
+            covered = (indices[np.minimum(np.searchsorted(indices, at), size - 1)] == at).any(axis=1)
+        missed = np.flatnonzero(~covered)
+        if missed.size:
+            return SampleVerdict(True, words[missed[0]], done + int(missed[0]) + 1)
+        done += len(words)
     return SampleVerdict(False, None, samples)
+
+
+def _ball_offsets(space: HammingSpace, radius: int) -> np.ndarray:
+    """The words within ``radius`` of the zero word, as a (V, r) table.
+
+    V = V_q(n, radius) and r = min(radius, n). Row i names the nonzero
+    digits of the i-th word of the ball, in order of weight: digit c at
+    position p is the flat index p*q + c into an (n, q) array, and rows are
+    padded with 0, which names digit 0 at position 0.
+    """
+    q, n, r = space.q, space.n, min(radius, space.n)
+    table = np.zeros((ball_volume(space, radius), r), np.intp)
+    start = 1
+    for i in range(1, r + 1):
+        at = np.fromiter(combinations(range(n), i), np.dtype((np.intp, i))) * q  # (C(n, i), i)
+        symbols = np.indices((q - 1,) * i).reshape(i, -1).T + 1  # ((q-1)^i, i)
+        stop = start + len(at) * len(symbols)
+        table[start:stop, :i] = (at[:, None, :] + symbols).reshape(-1, i)
+        start = stop
+    return table
 
 
 # ---------------------------------------------------------------------------

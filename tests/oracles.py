@@ -9,6 +9,7 @@ be checked against them choice for choice and node for node.
 
 import json
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from qcover.bounds import OptimizationResult, _bound_factored, _chain_params, _golden_min
-from qcover.codes import Code, CoverVerdict, code_from_dict, density
+from qcover.codes import Code, CoverVerdict, SampleVerdict, code_from_dict, density
 from qcover.errors import InfeasibleParamsError
 from qcover.hamming import (
     DEFAULT_ENUMERATION_GUARD,
@@ -30,6 +31,7 @@ from qcover.hamming import (
     ball_volume,
     check_radius,
     index_word,
+    indices_to_digits,
     word_index,
 )
 from qcover.solver import SolveResult, _greedy_cover
@@ -137,6 +139,28 @@ def verify_covering_scan(code, radius, *, guard=DEFAULT_ENUMERATION_GUARD):
         if not any(brute_distance(w, c) <= radius for c in words):
             return CoverVerdict(False, w)
     return CoverVerdict(True)
+
+
+def reference_verify_covering_sampled(code, radius, samples, seed=0):
+    """The column scan ``verify_covering_sampled`` ran before it looked balls up.
+
+    Each sample costs one vectorized distance test against the code's digit
+    columns, whatever the radius; the same seeded stream, so the fast
+    verifier must return the same ``SampleVerdict``.
+    """
+    check_radius(radius)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    sp = code.space
+    rng = random.Random(f"sampled-verify:{seed}")
+    columns = np.ascontiguousarray(indices_to_digits(sp, code.indices).T)  # (n, |K|)
+    dist_dtype = np.min_scalar_type(sp.n)
+    for k in range(samples):
+        w = tuple(rng.randrange(sp.q) for _ in range(sp.n))
+        mismatched = columns != np.asarray(w, dtype=columns.dtype)[:, None]
+        if not np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius):
+            return SampleVerdict(True, w, k + 1)
+    return SampleVerdict(False, None, samples)
 
 
 def reference_from_words(space, words):

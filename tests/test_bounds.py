@@ -286,6 +286,13 @@ def test_chain_check_first_failure_matches_oracle():
         assert closed_form_chain_check(R) == mp_chain_check(R).failed_step, R
 
 
+def test_chain_check_fails_step_t_where_the_chain_point_overflows():
+    # y = R ln R + 1 and x overflow from about R = 2^1014.5; below that the
+    # identity already fails in doubles
+    for R in (2**1013, 2**1014, 2**1015, 2**1023, 2**1024 - 2**970 - 1):
+        assert closed_form_chain_check(R) == "t", R
+
+
 def test_chain_check_rejects_tiny_R():
     with pytest.raises(ValueError):
         closed_form_chain_check(1)

@@ -95,7 +95,11 @@ def test_verify_sampled_modes(tmp_path, capsys):
     path.write_text(json.dumps({"q": 2, "n": 3, "words": ["000", "111"]}))
     status, out, _ = run(capsys, "verify", "--code", str(path), "--R", "1",
                          "--sampled", "64", "--seed", "5")
-    assert status == 0 and "no-counterexample" in out
+    # the verdict line stays as it was; a one-sided 95% bound ln(20)/N follows it
+    assert status == 0 and out.splitlines() == [
+        "no-counterexample after 64 samples (not a covering proof)",
+        f"with 95% confidence the uncovered fraction is below ln(20)/64 = {math.log(20) / 64:.17g}",
+    ]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"q": 2, "n": 20, "words": ["0" * 20]}))
@@ -388,6 +392,15 @@ def test_bounds_check_corollary(capsys):
                          "--R-min", "5", "--R-max", "8")
     assert status == 1
     assert "R=5: FAILS at step (i)" in out
+
+
+def test_bounds_check_corollary_fails_where_the_chain_point_overflows(capsys):
+    # the chain's own x and y overflow: a failed step (exit 1), not an
+    # infeasible x the user never gave (exit 3)
+    R = str(2**1023)
+    status, out, err = run(capsys, "bounds", "check-corollary", "--R-min", R, "--R-max", R)
+    assert status == 1 and err == ""
+    assert f"R={R}: FAILS at step (t)" in out
 
 
 def test_bounds_check_corollary_rejects_bad_range(capsys):

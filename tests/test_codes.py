@@ -18,22 +18,30 @@ from qcover import (
     verify_covering_sampled,
 )
 from qcover.codes import (
+    _ball_offsets,
     _read_canonical,
     code_from_dict,
     code_to_dict,
     dumps_code,
     read_code,
 )
-from qcover.hamming import expand_within_radius, uncovered_indices
+from qcover.hamming import (
+    ball_volume,
+    expand_within_radius,
+    uncovered_indices,
+    word_index,
+)
 
 from oracles import (
     brute_distance,
     brute_is_covering,
+    enumerate_ball,
     enumerate_space,
     json_dumps_code,
     json_read_code,
     reference_code_from_dict,
     reference_from_words,
+    reference_verify_covering_sampled,
     sphere_covering_lower_bound,
     verify_covering_scan,
     words_of,
@@ -303,6 +311,88 @@ def test_sampled_never_contradicts_exhaustive():
         code = reference_from_words(sp, words)
         if verify_covering(code, radius).covered:
             assert not verify_covering_sampled(code, radius, 200, seed=_).found_uncovered
+
+
+@pytest.mark.parametrize("q,n", [(2, 0), (2, 6), (3, 4), (4, 3), (12, 2)])
+def test_ball_offsets_name_each_word_of_the_ball_once(q, n):
+    sp = HammingSpace(q, n)
+    for radius in range(n + 2):
+        table = _ball_offsets(sp, radius)
+        assert table.shape == (ball_volume(sp, radius), min(radius, n))
+        words = []
+        for row in table.tolist():
+            w = [0] * n
+            for flat in row:
+                w[flat // q] += flat % q  # the padding 0 adds digit 0 at position 0
+            words.append(tuple(w))
+        assert sorted(words) == sorted(enumerate_ball(sp, (0,) * n, radius))
+
+
+@st.composite
+def _sampled_cases(draw):
+    """(code, radius, samples, seed) with R up to n + 1 and codes from empty
+    to the whole space. A space of at most 2^18 words keeps each word with a
+    drawn probability, then loses every codeword within R of up to 3 centres
+    per 512 words, which leaves each centre uncovered; a larger space gets
+    random words."""
+    sp = HammingSpace(draw(st.sampled_from([2, 3, 4, 12])), draw(st.integers(0, 9)))
+    radius = draw(st.integers(0, sp.n + 1))
+    keep = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if sp.size <= 1 << 18:
+        centres = rng.integers(0, sp.size, draw(st.integers(0, 3)) * (1 + sp.size // 512))
+        far = np.zeros(sp.size, dtype=bool)
+        far[uncovered_indices(sp, centres, radius)] = True
+        indices = np.flatnonzero((rng.random(sp.size) < keep) & far)
+    else:
+        indices = np.unique(rng.integers(0, sp.size, int(keep * (1 << 14))))
+    return Code(sp, indices), radius, draw(st.integers(1, 400)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_sampled_cases())
+def test_sampled_equals_column_scan(case):
+    code, radius, samples, seed = case
+    got = verify_covering_sampled(code, radius, samples, seed)
+    assert got == reference_verify_covering_sampled(code, radius, samples, seed)
+
+
+def _planted_code(n, radius, planted, size, seed):
+    """A code on [2]^n with a word at distance ``radius`` from each of the
+    first ``planted`` samples of seed ``seed``, filled up with random words
+    to about ``size`` words."""
+    stream = random.Random(f"sampled-verify:{seed}")
+    rng = random.Random(n * 1000 + radius)
+    sp = HammingSpace(2, n)
+    words = set()
+    for _ in range(planted):
+        w = [stream.randrange(2) for _ in range(n)]
+        for p in rng.sample(range(n), radius):
+            w[p] ^= 1
+        words.add(word_index(sp, w))
+    words.update(rng.randrange(sp.size) for _ in range(size - len(words)))
+    return Code(sp, sorted(words))
+
+
+@pytest.mark.parametrize("n", [30, 40, 62])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("size", [200, 10_000])
+def test_sampled_lookup_and_scan_agree_past_the_guard(n, half, size):
+    # the 200 planted samples cross several lookup batches at R = 2, 3, and
+    # at R <= 3 the 201st sample is the first uncovered one on either path
+    radii = [n // 2] if half else [1, 2, 3]
+    paths = set()
+    for radius in radii:
+        code = _planted_code(n, radius, 200, size, seed=radius)
+        volume = ball_volume(code.space, radius)
+        paths.add(volume * len(code).bit_length() <= n * len(code))
+        got = verify_covering_sampled(code, radius, 400, seed=radius)
+        assert got == reference_verify_covering_sampled(code, radius, 400, seed=radius)
+        if not half:
+            assert got.found_uncovered and got.samples == 201
+    # n/2 always takes the scan; R <= 3 takes the lookup on the large codes
+    # and both paths on the small ones
+    assert paths == ({False} if half else {True} if size > 200 else {True, False})
 
 
 def test_density_examples():
