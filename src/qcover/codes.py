@@ -12,8 +12,8 @@ result. A density is an exact ``Fraction``. Exhaustive covering
 verification asks :func:`~qcover.hamming.uncovered_indices` for the words
 the code misses. Sampled verification spot-checks random words on spaces
 too large to enumerate: it binary-searches the indices of each word's
-radius-R ball in the code's sorted indices, or, when that ball outgrows the
-code, scans the code's digit columns once per word.
+radius-R ball in the code's sorted indices, or, where that costs more than
+scanning the code's digit columns, scans them once per word.
 """
 
 from __future__ import annotations
@@ -145,73 +145,95 @@ def verify_covering_sampled(
 
     Usable on spaces far beyond the enumeration guard. Deterministic for a
     fixed seed: the samples are drawn from one seeded stream in a fixed
-    order, and a failing verdict names the first uncovered one. A sample
-    costs min(V * log2|K|, n * |K|), with V = V_q(n, R), decided per run in
-    exact integers. When V * bit_length(|K|) <= n * |K|, the V indices of
-    its radius-R ball are binary-searched in ``code.indices``, a batch of
-    samples at a time: the neighbour of w with digit p changed to
-    (w_p + c) mod q has index idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p),
-    and :func:`_ball_offsets` names the terms to add for each
-    word of the ball. Otherwise (large radii, the empty code) a sample is
-    one distance test against the code's digit columns.
+    order, and a failing verdict names the first uncovered one. Each sample
+    takes the cheaper of two tests, chosen per run by :func:`_lookup_pays`:
+    binary-searching the V = V_q(n, R) indices of its radius-R ball in
+    ``code.indices`` (:func:`_sampled_by_lookup`), or one distance test
+    against the code's n digit columns of |K| digits each.
     """
     check_radius(radius)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     sp = code.space
-    q, n, r = sp.q, sp.n, min(radius, sp.n)
     rng = random.Random(f"sampled-verify:{seed}")
-    size, volume, indices = len(code), ball_volume(sp, radius), code.indices
-    if size and volume * size.bit_length() <= n * size:
-        ball = _ball_offsets(sp, r)
-        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        # s * V * max(r, 1) <= 2^16 bounds a batch of s samples: its (s, V, r)
-        # gathered offsets and (s, V) indices hold at most 2^16 elements each,
-        # its (s, n, q) offsets twice that (n*q < 2V when r >= 1)
-        batch = max(1, (1 << 16) // (volume * max(r, 1)))
-    else:
-        ball, batch = None, 1
-        columns = np.ascontiguousarray(indices_to_digits(sp, indices).T)  # (n, |K|)
-        dist_dtype = np.min_scalar_type(n)
-    done = 0
-    while done < samples:
-        words = []
-        for _ in range(min(batch, samples - done)):
-            words.append(tuple(rng.randrange(q) for _ in range(n)))
-        if ball is None:
-            mismatched = columns != np.asarray(words[0], dtype=columns.dtype)[:, None]
-            covered = np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius, keepdims=True)
-        else:
-            digits = np.array(words, np.int64)  # (s, n)
-            at = (digits @ weights)[:, None]
-            if r:
-                w = digits[:, :, None]
-                offsets = ((w + np.arange(q)) % q - w) * weights[:, None]  # (s, n, q)
-                at = at + offsets.reshape(len(words), n * q)[:, ball].sum(axis=2)  # (s, V)
-            covered = (indices[np.minimum(np.searchsorted(indices, at), size - 1)] == at).any(axis=1)
+    if _lookup_pays(sp, len(code), radius):
+        return _sampled_by_lookup(code, radius, samples, rng)
+    columns = np.ascontiguousarray(indices_to_digits(sp, code.indices).T)  # (n, |K|)
+    dist_dtype = np.min_scalar_type(sp.n)
+    for k in range(samples):
+        w = tuple(rng.randrange(sp.q) for _ in range(sp.n))
+        mismatched = columns != np.asarray(w, dtype=columns.dtype)[:, None]
+        if not np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius):
+            return SampleVerdict(True, w, k + 1)
+    return SampleVerdict(False, None, samples)
+
+
+def _lookup_pays(space: HammingSpace, size: int, radius: int) -> bool:
+    """Whether ball lookup beats the column scan on a code of ``size`` words.
+
+    Per sample, a lookup does r = min(R, n) additions and bit_length(|K|)
+    search steps for each of the V words of the ball, and a scan compares
+    n * |K| digits. An addition or step measured about ten digit
+    comparisons (2-3.5 ns against 0.2-0.35 ns, q = 2..12 on a 2-vCPU x86-64
+    host), so the lookup needs a 16-fold margin, which also keeps its
+    (r, V) table under half the scan's digit matrix. The empty code scans.
+    """
+    r = min(radius, space.n)
+    volume = ball_volume(space, radius)
+    return size > 0 and 16 * volume * (size.bit_length() + r) <= space.n * size
+
+
+def _sampled_by_lookup(code: Code, radius: int, samples: int, rng: random.Random) -> SampleVerdict:
+    """:func:`verify_covering_sampled` by ball lookup, drawing its samples from ``rng``.
+
+    The neighbour of w with digit p changed to (w_p + c) mod q has index
+    idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p), so a sample's ball is
+    idx(w) plus, for each row of :func:`_ball_offsets`, one term gathered
+    from its (n * q) such offsets. A batch of s samples is tested at a time
+    with one ``np.searchsorted``; its (s, V) keys and (s, n*q) offsets stay
+    under 2^16 elements each while s >= 2. A single sample with a larger
+    ball takes O(V) scratch, which :func:`_lookup_pays` keeps below the
+    scan's digit matrix.
+    """
+    sp, indices = code.space, code.indices
+    q, n, size = sp.q, sp.n, len(code)
+    ball = _ball_offsets(sp, radius)
+    volume = ball_volume(sp, radius)
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    batch = max(1, (1 << 16) // (volume + n * q))
+    for done in range(0, samples, batch):
+        s = min(batch, samples - done)
+        drawn = [rng.randrange(q) for _ in range(s * n)]
+        digits = np.array(drawn, np.int64).reshape(s, n)
+        at = np.repeat(digits @ weights, volume).reshape(s, volume)
+        w = digits[:, :, None]
+        offsets = (((w + np.arange(q)) % q - w) * weights[:, None]).reshape(s, n * q)
+        for term in ball:
+            at += offsets[:, term]
+        covered = (indices[np.minimum(np.searchsorted(indices, at), size - 1)] == at).any(axis=1)
         missed = np.flatnonzero(~covered)
         if missed.size:
-            return SampleVerdict(True, words[missed[0]], done + int(missed[0]) + 1)
-        done += len(words)
+            k = int(missed[0])
+            return SampleVerdict(True, tuple(drawn[k * n : (k + 1) * n]), done + k + 1)
     return SampleVerdict(False, None, samples)
 
 
 def _ball_offsets(space: HammingSpace, radius: int) -> np.ndarray:
-    """The words within ``radius`` of the zero word, as a (V, r) table.
+    """The words within ``radius`` of the zero word, as an (r, V) table.
 
-    V = V_q(n, radius) and r = min(radius, n). Row i names the nonzero
+    V = V_q(n, radius) and r = min(radius, n). Column i names the nonzero
     digits of the i-th word of the ball, in order of weight: digit c at
-    position p is the flat index p*q + c into an (n, q) array, and rows are
-    padded with 0, which names digit 0 at position 0.
+    position p is the flat index p*q + c into an (n, q) array, and columns
+    are padded with 0, which names digit 0 at position 0.
     """
     q, n, r = space.q, space.n, min(radius, space.n)
-    table = np.zeros((ball_volume(space, radius), r), np.intp)
+    table = np.zeros((r, ball_volume(space, radius)), np.intp)
     start = 1
     for i in range(1, r + 1):
         at = np.fromiter(combinations(range(n), i), np.dtype((np.intp, i))) * q  # (C(n, i), i)
         symbols = np.indices((q - 1,) * i).reshape(i, -1).T + 1  # ((q-1)^i, i)
         stop = start + len(at) * len(symbols)
-        table[start:stop, :i] = (at[:, None, :] + symbols).reshape(-1, i)
+        table[:i, start:stop] = (at[:, None, :] + symbols).reshape(-1, i).T
         start = stop
     return table
 

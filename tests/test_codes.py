@@ -19,7 +19,9 @@ from qcover import (
 )
 from qcover.codes import (
     _ball_offsets,
+    _lookup_pays,
     _read_canonical,
+    _sampled_by_lookup,
     code_from_dict,
     code_to_dict,
     dumps_code,
@@ -318,9 +320,9 @@ def test_ball_offsets_name_each_word_of_the_ball_once(q, n):
     sp = HammingSpace(q, n)
     for radius in range(n + 2):
         table = _ball_offsets(sp, radius)
-        assert table.shape == (ball_volume(sp, radius), min(radius, n))
+        assert table.shape == (min(radius, n), ball_volume(sp, radius))
         words = []
-        for row in table.tolist():
+        for row in table.T.tolist():
             w = [0] * n
             for flat in row:
                 w[flat // q] += flat % q  # the padding 0 adds digit 0 at position 0
@@ -353,8 +355,24 @@ def _sampled_cases(draw):
 @given(case=_sampled_cases())
 def test_sampled_equals_column_scan(case):
     code, radius, samples, seed = case
-    got = verify_covering_sampled(code, radius, samples, seed)
-    assert got == reference_verify_covering_sampled(code, radius, samples, seed)
+    want = reference_verify_covering_sampled(code, radius, samples, seed)
+    assert verify_covering_sampled(code, radius, samples, seed) == want
+    if len(code) and ball_volume(code.space, radius) <= 1 << 17:
+        # the lookup on its own, also where the scan is cheaper and where
+        # the ball fills a whole batch
+        rng = random.Random(f"sampled-verify:{seed}")
+        assert _sampled_by_lookup(code, radius, samples, rng) == want
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 20, 7), (12, 5, 4)])
+def test_lookup_of_a_ball_larger_than_a_batch(q, n, radius):
+    sp = HammingSpace(q, n)
+    assert ball_volume(sp, radius) + n * q > 1 << 16  # one sample per batch
+    code = Code(sp, np.unique(np.random.default_rng(q).integers(0, sp.size, 64)))
+    for seed in range(3):
+        want = reference_verify_covering_sampled(code, radius, 50, seed)
+        rng = random.Random(f"sampled-verify:{seed}")
+        assert _sampled_by_lookup(code, radius, 50, rng) == want
 
 
 def _planted_code(n, radius, planted, size, seed):
@@ -378,21 +396,19 @@ def _planted_code(n, radius, planted, size, seed):
 @pytest.mark.parametrize("half", [False, True])
 @pytest.mark.parametrize("size", [200, 10_000])
 def test_sampled_lookup_and_scan_agree_past_the_guard(n, half, size):
-    # the 200 planted samples cross several lookup batches at R = 2, 3, and
-    # at R <= 3 the 201st sample is the first uncovered one on either path
+    # the 200 planted samples cross several lookup batches at R = 2 on the
+    # large codes, and at R <= 3 the 201st sample is the first uncovered one
     radii = [n // 2] if half else [1, 2, 3]
     paths = set()
     for radius in radii:
         code = _planted_code(n, radius, 200, size, seed=radius)
-        volume = ball_volume(code.space, radius)
-        paths.add(volume * len(code).bit_length() <= n * len(code))
+        paths.add(_lookup_pays(code.space, len(code), radius))
         got = verify_covering_sampled(code, radius, 400, seed=radius)
         assert got == reference_verify_covering_sampled(code, radius, 400, seed=radius)
         if not half:
             assert got.found_uncovered and got.samples == 201
-    # n/2 always takes the scan; R <= 3 takes the lookup on the large codes
-    # and both paths on the small ones
-    assert paths == ({False} if half else {True} if size > 200 else {True, False})
+    # n/2 and R = 3 always take the scan, R = 1 the lookup
+    assert paths == ({False} if half else {True, False})
 
 
 def test_density_examples():
