@@ -283,6 +283,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "max_space", 1) < 1:  # solve and verify
+            raise InfeasibleParamsError(f"requires --max-space >= 1, got {args.max_space}")
         return args.func(args)
     except _FileProblem as exc:
         print(f"error: {exc}", file=sys.stderr)

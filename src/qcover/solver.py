@@ -17,13 +17,17 @@ pruned or branched on; the zero word at the root is the first. Because a
 node is a step of the search and not a function call, ``nodes`` depends
 only on the search tree and its visit order. Each child is counted and
 tested against the counting bound in its parent's loop, so the pruned
-leaves, nearly all nodes, cost no call.
+leaves cost no call. On the last level a child passes only if it completes
+the cover; there one lookup (:func:`_first_completing`) finds that child,
+and ``nodes`` still counts every candidate the loop would have tried,
+stopping at each budget checkpoint on the way.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -99,6 +103,28 @@ def _mask_bits(mask: int) -> List[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _first_completing(masks: List[int], uncovered: int, cands: List[int], lo: int) -> Optional[int]:
+    """Index of the first of ``cands[lo:]`` whose ball holds every uncovered word.
+
+    ``cands`` lists, ascending, the ball of the lowest uncovered word. Balls
+    are symmetric, so a completing word lies in the ball of every uncovered
+    word; the balls of the lowest, highest and second-lowest narrow it down.
+    """
+    if lo == len(cands):
+        return None
+    low = uncovered & -uncovered
+    rest = (uncovered ^ low) or uncovered
+    hits = masks[low.bit_length() - 1] & masks[uncovered.bit_length() - 1]
+    hits &= masks[(rest & -rest).bit_length() - 1] & (-1 << cands[lo])
+    while hits:
+        bit = hits & -hits
+        c = bit.bit_length() - 1
+        if not uncovered & ~masks[c]:
+            return bisect_left(cands, c, lo)
+        hits ^= bit
+    return None
 
 
 def _greedy_cover(masks: List[int], full: int, v_ball: int) -> List[int]:
@@ -207,6 +233,14 @@ def minimal_covering_code(
             raise _BudgetHit
         checkpoint = next_checkpoint()
 
+    def advance(to: int) -> None:
+        """Count nodes up to ``to``, checking budgets at each checkpoint passed."""
+        nonlocal nodes
+        while checkpoint <= to:
+            nodes = checkpoint
+            check_budgets()
+        nodes = to
+
     members: List[Optional[List[int]]] = [None] * m
 
     def branch_words(covered: int) -> List[int]:
@@ -222,14 +256,25 @@ def minimal_covering_code(
     # nc = covered | masks[c], the child passes the counting bound
     # size + ceil(uncovered / V) < best_size exactly when nc.bit_count()
     # reaches ``need``; only passing children that leave words uncovered
-    # are recursed into.
+    # are recursed into. Where ``need`` is m, only a child that completes the
+    # cover passes, and the whole level is resolved by one lookup.
     chosen = [0]
 
     def dfs(covered: int) -> None:
         nonlocal nodes, best_size, best
         depth = len(chosen) + 1  # the children's code size
+        cands = branch_words(covered)
+        if best_size == depth + 1:
+            base = nodes
+            i = _first_completing(masks, full ^ covered, cands, 0)
+            if i is not None:
+                advance(base + i + 1)
+                best_size = depth
+                best = sorted(chosen + [cands[i]])
+            advance(base + len(cands))
+            return
         need = m - (best_size - depth - 1) * v_ball
-        for c in branch_words(covered):
+        for c in cands:
             nodes += 1
             if nodes >= checkpoint:
                 check_budgets()
@@ -249,8 +294,14 @@ def minimal_covering_code(
     def feasible(covered: int, k: int, min_excl: int) -> bool:
         """Can k more codewords above ``min_excl`` complete the cover?"""
         nonlocal nodes
+        cands = branch_words(covered)
+        if k == 1:
+            lo = bisect_right(cands, min_excl)
+            i = _first_completing(masks, full ^ covered, cands, lo)
+            advance(nodes + (len(cands) if i is None else i + 1) - lo)
+            return i is not None
         need = m - (k - 1) * v_ball
-        for c in branch_words(covered):
+        for c in cands:
             if c <= min_excl:
                 continue
             nodes += 1

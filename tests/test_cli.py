@@ -217,6 +217,21 @@ def test_solve_guard_exits_three(capsys):
     assert "sampled" not in err
 
 
+def test_max_space_below_one_exits_three(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"q": 2, "n": 3, "words": ["000", "111"]}))
+    for argv in (["solve", "--q", "2", "--n", "3", "--R", "1"],
+                 ["verify", "--code", str(path), "--R", "1"],
+                 ["verify", "--code", str(path), "--R", "1", "--sampled", "5"]):
+        for value in ("0", "-5"):
+            status, out, err = run(capsys, *argv, "--max-space", value)
+            assert status == 3 and out == ""
+            assert err == f"error: requires --max-space >= 1, got {value}\n"
+    # a sampled verify never enumerates, so the smallest guard passes
+    assert run(capsys, "verify", "--code", str(path), "--R", "1", "--sampled", "5",
+               "--max-space", "1")[0] == 0
+
+
 def test_construct_huge_x_builds_the_whole_space(tmp_path, capsys):
     # x*m overflows a float at x = 1e308; the size cap is m from x >= d + 1 on
     out = tmp_path / "c.json"

@@ -2,9 +2,14 @@
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcover import (
     HammingSpace,
@@ -15,7 +20,7 @@ from qcover import (
     verify_covering,
 )
 
-from qcover.solver import _ball_masks
+from qcover.solver import _ball_masks, _first_completing, _mask_bits
 
 from oracles import (
     ball_masks,
@@ -96,6 +101,73 @@ def test_matches_reference_solver_node_for_node(q, n, radius):
         got = minimal_covering_code(sp, radius, node_budget=budget)
         want = reference_minimal_covering_code(sp, radius, node_budget=budget)
         assert got.to_json_dict() == want.to_json_dict(), (q, n, radius, budget)
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 4, 1), (2, 5, 1), (3, 3, 1), (2, 5, 2)])
+def test_every_node_budget_matches_reference_solver(q, n, radius):
+    # Most budgets stop inside a last level whose nodes are counted in bulk;
+    # each must leave the incumbent and node count of one call per node.
+    sp = HammingSpace(q, n)
+    for budget in range(minimal_covering_code(sp, radius).nodes + 1):
+        got = minimal_covering_code(sp, radius, node_budget=budget)
+        want = reference_minimal_covering_code(sp, radius, node_budget=budget)
+        assert got.to_json_dict() == want.to_json_dict(), budget
+
+
+def test_deadline_read_inside_a_bulk_counted_level(monkeypatch):
+    # The clock runs out at the first deadline read that falls inside one of
+    # dfs's bulk-counted last levels, past its first node but before the
+    # child that completes the cover: the level's new incumbent is not kept.
+    reads = []
+
+    def clock():
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "check_budgets" and frame.f_back.f_code.co_name == "advance":
+            batch, level = frame.f_back.f_locals, frame.f_back.f_back.f_locals
+            i = level.get("i")
+            if i is not None and level["base"] + 1 < batch["nodes"] <= level["base"] + i + 1:
+                reads.append(batch["nodes"])
+        return 10.0 if reads else 0.0
+
+    sp = HammingSpace(2, 7)
+    monkeypatch.setattr(time, "monotonic", clock)
+    res = minimal_covering_code(sp, 2, time_budget=1.0)
+    monkeypatch.undo()
+    assert res.status == "budget_exceeded" and res.nodes == reads[0]
+    assert res.nodes % 256 == 0
+    assert res.optimal_size > 7  # K_2(7,2) = 7 is found in a later level
+    want = reference_minimal_covering_code(sp, 2, node_budget=res.nodes - 1)
+    assert res.to_json_dict() == want.to_json_dict()
+
+
+@lru_cache(maxsize=16)
+def _cached_masks(q, n, radius):
+    return _ball_masks(HammingSpace(q, n), radius)
+
+
+@st.composite
+def _last_levels(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 6))
+    radius = draw(st.integers(0, n))
+    masks = _cached_masks(q, n, radius)
+    m = q**n
+    # most of the uncovered words share a ball, so a completing word often exists
+    ball = _mask_bits(masks[draw(st.integers(0, m - 1))])
+    words = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=8))
+    words += draw(st.lists(st.integers(0, m - 1), max_size=2))
+    uncovered = sum(1 << w for w in set(words))
+    cands = _mask_bits(masks[(uncovered & -uncovered).bit_length() - 1])
+    return masks, (1 << m) - 1, uncovered, cands, draw(st.integers(0, len(cands)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_last_levels())
+def test_first_completing_matches_brute_scan(case):
+    masks, full, uncovered, cands, lo = case
+    covered = full ^ uncovered
+    want = next((i for i in range(lo, len(cands)) if masks[cands[i]] | covered == full), None)
+    assert _first_completing(masks, uncovered, cands, lo) == want
 
 
 def test_translation_preserves_covering():
