@@ -106,9 +106,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             n = verdict.samples
             print(f"no-counterexample after {n} samples (not a covering proof)")
             # a fraction p of uncovered words goes unsampled with probability
-            # (1-p)^N <= exp(-pN), which is at most 1/20 once p >= ln(20)/N
-            print(f"with 95% confidence the uncovered fraction is below ln(20)/{n} = "
-                  f"{_fmt(math.log(20) / n)}")
+            # (1-p)^N <= exp(-pN), at most 1/20 once p >= ln(20)/N; below N = 3 that is >= 1
+            if math.log(20) < n:
+                print(f"with 95% confidence the uncovered fraction is below ln(20)/{n} = "
+                      f"{_fmt(math.log(20) / n)}")
             return EXIT_OK
     else:
         _warn_guard_override("verification", args.max_space, DEFAULT_ENUMERATION_GUARD)

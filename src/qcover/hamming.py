@@ -183,38 +183,31 @@ def _max_length(q: int, n: int, limit: int) -> int:
 def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> np.ndarray:
     """Grow membership masks over word indices by ``radius`` Hamming steps.
 
-    ``mask`` has shape (q^n, *payload): a boolean array, or an unsigned
-    integer array whose payload bits are independent masks (the solver packs
-    one bit per word). One step ORs each word's value into every word
-    differing from it in exactly one coordinate (any replacement symbol), so
-    ``radius`` steps mark the union of the radius-``radius`` balls around the
-    original members, bit by bit. The result has the mask's shape and dtype.
+    ``mask`` has shape (q^n, *payload), whose payload bits are independent
+    masks (the solver packs one bit per word; a boolean mask is one), or is
+    one packed mask: q^(n-k) uint64 words, k the largest k <= n with
+    q^k <= 64, bit p of word j marking word j*q^k + p. One step ORs each
+    word's bit into every word differing from it in exactly one coordinate,
+    so ``radius`` steps mark the union of the radius-``radius`` balls around
+    the members, in the mask's shape and dtype.
 
-    A boolean mask is packed first: its trailing k coordinates (the largest
-    k <= n with q^k <= 64) become the low q^k bits of one uint64, so a step
-    along one of them is shift-and-mask within the word, with one mask per
-    packed digit: the positions where that digit is 0. The other n - k
-    coordinates are axes of a (q, ..., q, *payload) grid and a step along
-    one is an OR-reduction over that axis. Payload masks, and boolean masks
-    with q > 64, run the same loop with k = 0.
+    A step along a packed coordinate is shift-and-mask within the word, with
+    one mask per packed digit: the positions where that digit is 0 (bits
+    above q^k never reach those below). Along any other coordinate, an axis
+    of a (q, ..., q, *payload) grid, a step is an OR-reduction.
     """
     check_radius(radius)
-    if mask.shape[:1] != (space.size,):
-        raise ValueError(f"mask must have shape ({space.size}, ...), got {mask.shape}")
-    if radius == 0 or space.n == 0:
-        return mask.copy()
     q, n = space.q, space.n
-    k = _max_length(q, n, 64) if mask.dtype == bool else 0
-    width = q**k
-    if k:
-        bits = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")
-        packed = np.zeros((len(bits), 8), dtype=np.uint8)
-        packed[:, : bits.shape[1]] = bits
-        grid = packed.view("<u8").reshape((q,) * (n - k))
-    else:
-        grid = mask.reshape((q,) * n + mask.shape[1:])
-    # zero[t]: the packed positions whose digit t (stride q^t) is 0; padding lies in none
-    zero = [np.uint64(sum(1 << p for p in range(width) if p // q**t % q == 0)) for t in range(k)]
+    k = _max_length(q, n, 64)
+    packed = q ** (n - k)
+    if mask.shape != (packed,):
+        k = 0
+    if mask.shape[:1] != (q ** (n - k),):
+        raise ValueError(f"mask must have shape ({space.size}, ...) or ({packed},), got {mask.shape}")
+    if radius == 0 or n == 0:
+        return mask.copy()
+    grid = mask.reshape((q,) * (n - k) + mask.shape[1:])
+    zero = [np.uint64(sum(1 << p for p in range(q**k) if p // q**t % q == 0)) for t in range(k)]
     for _ in range(min(radius, n)):
         out = grid.copy()
         for axis in range(n - k):
@@ -231,23 +224,28 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
             for c in range(1, q):
                 out |= low << np.uint64(c * stride)
         grid = out
-    if not k:
-        return grid.reshape(mask.shape)
-    # count=width drops the padding bits above q^k
-    bits = np.unpackbits(grid.reshape(-1, 1).view(np.uint8), axis=1, count=width, bitorder="little")
-    return bits.view(bool).reshape(mask.shape)
+    return grid.reshape(mask.shape)
 
 
 def uncovered_indices(space: HammingSpace, indices, radius: int) -> np.ndarray:
     """Sorted int64 indices of the words farther than ``radius`` from every given index.
 
-    One :func:`expand_within_radius` call on the mask of ``indices``; empty
-    exactly when those words cover the space. Raises ValueError for an
-    index outside [0, q^n).
+    One :func:`expand_within_radius` call on the packed mask of ``indices``
+    (a byte per word when q > 64); empty exactly when those words cover the
+    space. Raises ValueError for an index outside [0, q^n).
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= space.size):
         raise ValueError(f"word indices must lie in [0, {space.size}) for [{space.q}]^{space.n}")
+    width = space.q ** _max_length(space.q, space.n, 64)
     mask = np.zeros(space.size, dtype=bool)
     mask[indices] = True
-    return np.flatnonzero(~expand_within_radius(space, mask, radius))
+    if width > 1:
+        mask = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")
+        mask = np.pad(mask, ((0, 0), (0, 8 - mask.shape[1]))).view("<u8").reshape(-1)
+    holes = expand_within_radius(space, mask, radius)
+    holes ^= holes.dtype.type((1 << width) - 1)  # flip the word bits; the padding stays 0
+    if not holes.any():
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(
+        np.unpackbits(holes.reshape(len(holes), -1).view(np.uint8), axis=1, count=width, bitorder="little"))

@@ -100,6 +100,12 @@ def test_verify_sampled_modes(tmp_path, capsys):
         "no-counterexample after 64 samples (not a covering proof)",
         f"with 95% confidence the uncovered fraction is below ln(20)/64 = {math.log(20) / 64:.17g}",
     ]
+    # ln(20)/N is below 1, and so bounds anything, only from N = 3 on
+    for samples, lines in [(1, 1), (2, 1), (3, 2)]:
+        status, out, _ = run(capsys, "verify", "--code", str(path), "--R", "1",
+                             "--sampled", str(samples), "--seed", "5")
+        assert status == 0 and len(out.splitlines()) == lines, samples
+    assert out.splitlines()[1].endswith(f"ln(20)/3 = {math.log(20) / 3:.17g}")
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"q": 2, "n": 20, "words": ["0" * 20]}))

@@ -150,18 +150,17 @@ def test_expand_payload_bits_expand_independently():
                 assert np.array_equal(got_bits[:, j, b], want), (q, n, radius, j, b)
 
 
-def _check_expansion(sp, mask, radius):
-    before = mask.copy()
-    got = expand_within_radius(sp, mask, radius)
-    assert np.array_equal(mask, before)
-    assert got.dtype == bool and got.shape == mask.shape
-    want = ball_union(sp, np.flatnonzero(mask).tolist(), radius)
-    assert set(np.flatnonzero(got).tolist()) == want, (sp, radius)
+def _check_uncovered(sp, members, radius):
+    got = uncovered_indices(sp, members, radius)
+    assert got.dtype == np.int64 and np.all(got[1:] > got[:-1])
+    assert set(got.tolist()) == set(range(sp.size)) - ball_union(sp, members.tolist(), radius), (sp, radius)
 
 
-# A boolean mask packs its trailing k coordinates into one uint64, k the
-# largest k <= n with q^k <= 64. The shapes put n below, at and above k for
-# each q, and cover n = 0 and both sides of the k = 1 / k = 0 boundary.
+# uncovered_indices packs the trailing k coordinates into one uint64, k the
+# largest k <= n with q^k <= 64: q^k bits, padded above for q = 3, 5 and 7
+# (27, 25 and 49 bits), exactly 64 for q = 64, and k = 0 (a byte per word)
+# for q = 65 and 128. The shapes put n below, at and above k for each q, and
+# cover n = 0.
 KERNEL_SHAPES = [
     (2, 0), (2, 3), (2, 6), (2, 9),
     (3, 0), (3, 2), (3, 3), (3, 5),
@@ -181,9 +180,7 @@ def test_expand_matches_ball_oracle(q, n):
         # and random members, capped so the oracle enumerates <= 20000 words
         members = rng.choice(sp.size, max(1, min(sp.size // 4, 20000 // ball_volume(sp, radius))))
         for chosen in ([], [0], [sp.size - 1], members):
-            mask = np.zeros(sp.size, dtype=bool)
-            mask[chosen] = True
-            _check_expansion(sp, mask, radius)
+            _check_uncovered(sp, np.array(chosen, dtype=np.int64), radius)
 
 
 @st.composite
@@ -202,7 +199,24 @@ def _spaces(draw):
 )
 def test_expand_matches_ball_oracle_random(sp, radius, density, seed):
     mask = np.random.default_rng(seed).random(sp.size) < density
-    _check_expansion(sp, mask, radius)
+    _check_uncovered(sp, np.flatnonzero(mask), radius)
+
+
+@pytest.mark.parametrize("q,n,radius", [(3, 5, 1), (5, 3, 2), (7, 3, 1), (2, 8, 2)])
+def test_expand_packed_words_keep_padding_apart(q, n, radius):
+    # a packed mask is q^(n-k) uint64 words, bit p of word j marking word
+    # j*q^k + p; set bits above q^k (none for q = 2) never reach the q^k below
+    sp = HammingSpace(q, n)
+    width = q ** max(k for k in range(n + 1) if q**k <= 64)
+    rng = np.random.default_rng(q * n)
+    words = rng.integers(0, 2**64, (2, sp.size // width), dtype=np.uint64)
+    words = words[0] & words[1]  # a quarter of the bits set
+    before = words.copy()
+    got = expand_within_radius(sp, words, radius)
+    assert np.array_equal(words, before)
+    assert got.shape == words.shape and got.dtype == np.uint64
+    low = np.uint64((1 << width) - 1)
+    assert np.array_equal(got & low, expand_within_radius(sp, words & low, radius))
 
 
 @st.composite
@@ -226,9 +240,7 @@ def _index_sets(draw):
 @given(case=_index_sets())
 def test_uncovered_indices_complement_ball_union(case):
     sp, radius, indices = case
-    got = uncovered_indices(sp, np.array(indices, dtype=np.int64), radius)
-    assert got.dtype == np.int64 and np.all(got[1:] > got[:-1])
-    assert set(got.tolist()) == set(range(sp.size)) - ball_union(sp, indices, radius)
+    _check_uncovered(sp, np.array(indices, dtype=np.int64), radius)
 
 
 @pytest.mark.parametrize("q,n", [
@@ -278,10 +290,16 @@ def test_uncovered_indices_rejects_indices_outside_the_space():
 
 
 def test_expand_rejects_wrong_leading_length():
-    sp = HammingSpace(2, 3)
-    for shape in [(7,), (9, 2), (), (1, 8)]:
-        with pytest.raises(ValueError, match="mask must have shape"):
-            expand_within_radius(sp, np.zeros(shape, dtype=bool), 1)
+    sp = HammingSpace(2, 8)  # 2^8 words, or 4 packed uint64 words
+    masks = [np.zeros(shape, dtype=bool) for shape in [(255,), (257, 2), (), (1, 256)]]
+    masks.append(np.zeros(5, dtype=np.uint64))  # one packed word too many
+    for mask in masks:
+        with pytest.raises(ValueError, match=r"mask must have shape \(256, \.\.\.\) or \(4,\)"):
+            expand_within_radius(sp, mask, 1)
+    # the packed length in words that are not uint64: the uint64 shifts refuse them
+    for dtype in (np.int64, bool):
+        with pytest.raises(TypeError):
+            expand_within_radius(sp, np.zeros(4, dtype=dtype), 1)
 
 
 def test_volume_ratio_approaches_split_limits():
