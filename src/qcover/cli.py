@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -213,7 +214,9 @@ def cmd_bounds_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all_hold else EXIT_COUNTEREXAMPLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcover",
         description="Covering-code constructions, exact small optima, and density bounds.",

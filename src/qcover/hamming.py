@@ -193,8 +193,10 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
 
     A step along a packed coordinate is shift-and-mask within the word, with
     one mask per packed digit: the positions where that digit is 0 (bits
-    above q^k never reach those below). Along any other coordinate, an axis
-    of a (q, ..., q, *payload) grid, a step is an OR-reduction.
+    above q^k never reach those below). Along any other coordinate a step
+    works on an (A, q, B) view of the mask with that coordinate's symbols on
+    the middle axis: it ORs the q slices together and back into each.
+    Packed masks must hold ``uint64`` words; narrower words would drop bits.
     """
     check_radius(radius)
     q, n = space.q, space.n
@@ -202,16 +204,28 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
     packed = q ** (n - k)
     if mask.shape != (packed,):
         k = 0
+    elif k and mask.dtype != np.uint64:
+        raise TypeError(f"a packed mask must hold uint64 words, got {mask.dtype}")
     if mask.shape[:1] != (q ** (n - k),):
         raise ValueError(f"mask must have shape ({space.size}, ...) or ({packed},), got {mask.shape}")
     if radius == 0 or n == 0:
         return mask.copy()
-    grid = mask.reshape((q,) * (n - k) + mask.shape[1:])
+    grid = mask.reshape(-1)
     zero = [np.uint64(sum(1 << p for p in range(q**k) if p // q**t % q == 0)) for t in range(k)]
     for _ in range(min(radius, n)):
         out = grid.copy()
         for axis in range(n - k):
-            out |= np.bitwise_or.reduce(grid, axis=axis, keepdims=True)
+            # (A, q, B) views put the symbols of this coordinate on axis 1
+            view = (q**axis, q, grid.size // q ** (axis + 1))
+            g, o = grid.reshape(view), out.reshape(view)
+            if q == 2:
+                o[:, 0] |= g[:, 1]
+                o[:, 1] |= g[:, 0]
+            else:
+                any_symbol = g[:, 0] | g[:, 1]
+                for c in range(2, q):
+                    any_symbol |= g[:, c]
+                o |= any_symbol[:, None]
         for t in range(k):
             # symbol c of digit t is (grid >> c*q^t) & zero[t]; OR all q into
             # the symbol-0 positions, then copy that back out to every symbol

@@ -1,9 +1,10 @@
 """Exact minimum covering codes on tiny spaces via branch-and-bound set cover.
 
-Every word's radius-R ball is one big-int bitmask over word indices, built
+Every word's radius-R ball is one row of little-endian uint64 words, built
 by a single call of the library's radius-expansion kernel on a bit-packed
-identity. The lazy-greedy cover over these masks (:func:`greedy_ball_cover`)
-is the first incumbent; a deadline passed after this set-up returns it.
+identity, and one big-int bitmask over word indices read from that row. The
+lazy-greedy cover over these masks (:func:`greedy_ball_cover`) is the first
+incumbent; a deadline passed after this set-up returns it.
 
 The search branches on the lexicographically smallest uncovered word (any
 cover must contain a codeword in its ball) with counting-bound pruning,
@@ -21,6 +22,17 @@ leaves cost no call. On the last level a child passes only if it completes
 the cover; there one lookup (:func:`_first_completing`) finds that child,
 and ``nodes`` still counts every candidate the loop would have tried,
 stopping at each budget checkpoint on the way.
+
+While the incumbent is fixed, the nodes of a subtree do not depend on the
+order in which they are visited; only a node that completes the cover,
+which improves the incumbent or proves feasibility, does. So each call of
+the search first counts its whole subtree with numpy, a level at a time
+(:func:`_subtree_nodes`), and if no node in it completes the cover adds the
+count to ``nodes`` in bulk, through the same budget checkpoints. Otherwise,
+or past a cap of ``_COUNT_CAP`` nodes, it runs its loop, and each child
+makes its own attempt; counts that gave up may take at most half the
+search's time. The tree, its visit order, ``nodes`` and every output are
+those of the loop alone.
 """
 
 from __future__ import annotations
@@ -45,6 +57,14 @@ EXACT_SOLVER_GUARD = 1 << 12
 #: Greedy full-space ball covers get their own, tighter guard: the ball
 #: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
 GREEDY_COVER_GUARD = 1 << 14
+
+#: A subtree count works on at most this many uint64 words of children at once.
+_COUNT_STEP_WORDS = 1 << 13
+
+#: A subtree count gives up past this many nodes, or this many uint64 words
+#: of pending children, so that a budget is read before long and a deep
+#: tree holds little memory; the subtree is then visited child by child.
+_COUNT_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,28 +101,96 @@ class _BudgetHit(Exception):
     pass
 
 
-def _ball_masks(space: HammingSpace, radius: int) -> List[int]:
-    """Bitmask over word indices of the radius-``radius`` ball of every word.
+def _ball_rows(space: HammingSpace, radius: int) -> np.ndarray:
+    """The radius-``radius`` ball of every word, as (q^n, W) little-endian uint64 rows.
 
-    Row i of a packed identity holds bit i alone, in ceil(m/8) little-endian
-    bytes. One call of the expansion kernel grows every row at once, so row
-    i ends up holding the words within ``radius`` of word i.
+    Row i of a packed identity holds bit i alone, in W = ceil(m/64) words.
+    One call of the expansion kernel grows every row at once, so row i ends
+    up holding the words within ``radius`` of word i.
     """
     m = space.size
     i = np.arange(m)
-    eye = np.zeros((m, (m + 7) // 8), dtype=np.uint8)
+    eye = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
     eye[i, i >> 3] = 1 << (i & 7)
-    balls = expand_within_radius(space, eye, radius)
-    return [int.from_bytes(row.tobytes(), "little") for row in balls]
+    return expand_within_radius(space, eye.view("<u8"), radius)
 
 
-def _mask_bits(mask: int) -> List[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _ball_words(balls: np.ndarray) -> np.ndarray:
+    """Each ball's words, ascending, as a (q^n, V) table, from :func:`_ball_rows`.
+
+    Entries take the smallest unsigned dtype that holds q^n - 1, and the rows
+    are unpacked about 2^20 bits at a time, so the set-up stays near the
+    size of the ball rows.
+    """
+    m = len(balls)
+    words = np.empty((m, int(np.bitwise_count(balls[0]).sum())), dtype=np.min_scalar_type(m - 1))
+    step = max(1, (1 << 20) // m)
+    for i in range(0, m, step):
+        bits = np.unpackbits(balls[i:i + step].view(np.uint8), axis=1, bitorder="little")
+        words[i:i + step] = np.nonzero(bits)[1].reshape(len(bits), -1)
+    return words
+
+
+def _ball_masks(space: HammingSpace, radius: int) -> List[int]:
+    """Bitmask over word indices of the radius-``radius`` ball of every word."""
+    return [int.from_bytes(row.tobytes(), "little") for row in _ball_rows(space, radius)]
+
+
+def _subtree_nodes(balls: np.ndarray, words: np.ndarray, covered: int, k: int,
+                   min_excl: int) -> Optional[int]:
+    """Nodes in the search below ``covered`` for k more codewords above ``min_excl``.
+
+    ``balls`` holds the ball rows of :func:`_ball_rows` as (W, q^n) columns
+    and ``words`` each ball's words, ascending. The search branches on the
+    lowest uncovered word; a child passes when at most k - 1 more balls
+    could cover the rest, and is searched with k - 1. Returns None when some
+    node completes the cover, where the visit order decides the outcome, or
+    when the count or the pending children's words pass ``_COUNT_CAP``;
+    otherwise no order can change the count.
+
+    Covered sets are searched in blocks of (W, r) columns, a level at a
+    time, each step kept to ``_COUNT_STEP_WORDS`` words of children.
+    """
+    width, m = balls.shape
+    v_ball = words.shape[1]
+    rows = max(1, _COUNT_STEP_WORDS // (v_ball * width))
+    start = np.frombuffer(covered.to_bytes(8 * width, "little"), dtype="<u8")[:, None]
+    stack = [(start, k)]
+    count, held = 0, start.size  # nodes counted; words in the pending blocks
+    while stack:
+        cov, k = stack.pop()
+        held -= cov.size
+        if cov.shape[1] > rows:
+            stack.append((cov[:, rows:], k))
+            held += stack[-1][0].size
+            cov = cov[:, :rows]
+        # trailing ones of each word; the lowest uncovered word lies in the
+        # first word that is not full
+        ones = np.bitwise_count(cov & ~(cov + np.uint64(1)))
+        low = ones[0]
+        if width > 1:
+            at = (ones < 64).argmax(axis=0)
+            low = at * 64 + ones.ravel()[at * len(low) + np.arange(len(low))]
+        cands = words[low]
+        skip = cands <= min_excl
+        count += skip.size - int(np.count_nonzero(skip))
+        if count > _COUNT_CAP:
+            return None
+        child = np.take(balls, cands, axis=1)
+        child |= cov[:, :, None]
+        got = np.bitwise_count(child).sum(axis=0)
+        got[skip] = 0
+        top = got.max()
+        if top == m:
+            return None
+        need = max(m - (k - 1) * v_ball, 1)  # skipped children, at 0, never pass
+        if top >= need:
+            child = np.compress((got >= need).ravel(), child.reshape(width, -1), axis=1)
+            stack.append((child, k - 1))
+            held += child.size
+            if held > _COUNT_CAP:
+                return None
+    return count
 
 
 def _first_completing(masks: List[int], uncovered: int, cands: List[int], lo: int) -> Optional[int]:
@@ -206,7 +294,10 @@ def minimal_covering_code(
     if radius == 0:
         return finish(list(range(m)), "optimal", True, 0)
 
-    masks = _ball_masks(space, radius)
+    balls = _ball_rows(space, radius)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in balls]
+    words = _ball_words(balls)
+    balls = np.ascontiguousarray(balls.T)  # the columns _subtree_nodes reads
     full = (1 << m) - 1
     deadline = None if time_budget is None else start + time_budget
 
@@ -242,6 +333,23 @@ def minimal_covering_code(
         nodes = to
 
     members: List[Optional[List[int]]] = [None] * m
+    # Counts that give up are wasted work. Where most subtrees hold a smaller
+    # cover or pass the cap (K_2(12,1), say), every call's count would give
+    # up, and 256 nodes could take minutes between two deadline reads; so a
+    # call skips its count while counts that gave up have taken more than
+    # half the search's time, and a deadline is read at most one count late.
+    searching = time.perf_counter()
+    gave_up_s = 0.0
+
+    def count_subtree(covered: int, k: int, min_excl: int) -> Optional[int]:
+        nonlocal gave_up_s
+        now = time.perf_counter()
+        if 2 * gave_up_s > now - searching:
+            return None
+        count = _subtree_nodes(balls, words, covered, k, min_excl)
+        if count is None:
+            gave_up_s += time.perf_counter() - now
+        return count
 
     def branch_words(covered: int) -> List[int]:
         """The words whose balls hold the smallest uncovered word."""
@@ -249,7 +357,7 @@ def minimal_covering_code(
         w = (uncovered & -uncovered).bit_length() - 1
         got = members[w]
         if got is None:
-            got = members[w] = _mask_bits(masks[w])
+            got = members[w] = words[w].tolist()
         return got
 
     # A child c is counted and tested in its parent's loop. With
@@ -263,6 +371,10 @@ def minimal_covering_code(
     def dfs(covered: int) -> None:
         nonlocal nodes, best_size, best
         depth = len(chosen) + 1  # the children's code size
+        count = count_subtree(covered, best_size - depth, -1)
+        if count is not None:
+            advance(nodes + count)
+            return
         cands = branch_words(covered)
         if best_size == depth + 1:
             base = nodes
@@ -294,6 +406,10 @@ def minimal_covering_code(
     def feasible(covered: int, k: int, min_excl: int) -> bool:
         """Can k more codewords above ``min_excl`` complete the cover?"""
         nonlocal nodes
+        count = count_subtree(covered, k, min_excl)
+        if count is not None:
+            advance(nodes + count)
+            return False
         cands = branch_words(covered)
         if k == 1:
             lo = bisect_right(cands, min_excl)

@@ -427,6 +427,40 @@ def reference_minimal_covering_code(space, radius, *, time_budget=None, node_bud
         sys.setrecursionlimit(old_limit)
 
 
+def reference_subtree_nodes(masks, covered, k, min_excl):
+    """Nodes the solver's search visits below ``covered``, one call per node.
+
+    The search branches on the lowest uncovered word and tries each word
+    above ``min_excl`` whose ball holds it; a child is searched further,
+    with one codeword fewer, when ``k - 1`` balls could still cover what it
+    leaves (the counting bound). Returns None as soon as a child completes
+    the cover, where the solver's visit order decides what happens next.
+    """
+    m = len(masks)
+    full = (1 << m) - 1
+    v_ball = masks[0].bit_count()
+
+    def count(covered, k):
+        uncovered = full & ~covered
+        w = (uncovered & -uncovered).bit_length() - 1
+        total = 0
+        for c in range(min_excl + 1, m):
+            if not masks[w] >> c & 1:
+                continue
+            total += 1
+            child = covered | masks[c]
+            if child == full:
+                return None
+            if -(-(full & ~child).bit_count() // v_ball) <= k - 1:
+                below = count(child, k - 1)
+                if below is None:
+                    return None
+                total += below
+        return total
+
+    return count(covered, k)
+
+
 def mp_parametric_bound(R, x, y):
     """Factored-form bound at 40 decimal digits."""
     R, x, y = mp.mpf(R), mp.mpf(x), mp.mpf(y)

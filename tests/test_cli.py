@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import qcover
 from qcover import HammingSpace, minimal_covering_code, read_code, verify_covering
 from qcover.cli import main
 
@@ -430,3 +435,28 @@ def test_bounds_check_corollary_rejects_bad_range(capsys):
                                "--R-min", r_min, "--R-max", r_max)
         assert status == 3 and out == ""
         assert f"[{r_min}, {r_max}]" in err
+
+
+def test_one_process_prints_what_separate_processes_print(tmp_path, capsys):
+    # the parser is built once per process and reused by every later call,
+    # after a usage error too; each command must print, write and exit as it
+    # does in a process of its own
+    src = str(Path(qcover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = str(tmp_path / "code.json")
+    commands = [
+        ["construct", "--q", "2", "--n", "8", "--R", "1", "--x", "2.0", "--y", "2",
+         "--seed", "4", "--out", code],
+        ["verify", "--code", code, "--R", "1"],
+        ["solve", "--q", "2"],
+        ["solve", "--q", "2", "--n", "5", "--R", "1"],
+        ["verify", "--code", code, "--R", "1", "--sampled", "5", "--seed", "2"],
+    ]
+    separate = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "qcover.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        separate.append((proc.returncode, proc.stdout, proc.stderr, Path(code).read_bytes()))
+    together = [run(capsys, *argv) + (Path(code).read_bytes(),) for argv in commands]
+    assert together == separate
+    assert [status for status, *_ in together] == [0, 0, 2, 0, 0]

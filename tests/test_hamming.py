@@ -296,9 +296,10 @@ def test_expand_rejects_wrong_leading_length():
     for mask in masks:
         with pytest.raises(ValueError, match=r"mask must have shape \(256, \.\.\.\) or \(4,\)"):
             expand_within_radius(sp, mask, 1)
-    # the packed length in words that are not uint64: the uint64 shifts refuse them
-    for dtype in (np.int64, bool):
-        with pytest.raises(TypeError):
+    # the packed length in words that are not uint64; narrower unsigned
+    # words would pass the shifts and drop every bit above their width
+    for dtype in (np.int64, bool, np.uint32, np.uint16):
+        with pytest.raises(TypeError, match="packed mask must hold uint64 words"):
             expand_within_radius(sp, np.zeros(4, dtype=dtype), 1)
 
 

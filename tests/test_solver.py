@@ -4,11 +4,13 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcover import (
@@ -20,7 +22,8 @@ from qcover import (
     verify_covering,
 )
 
-from qcover.solver import _ball_masks, _first_completing, _mask_bits
+import qcover.solver as solver_mod
+from qcover.solver import _ball_masks, _ball_rows, _ball_words, _first_completing, _subtree_nodes
 
 from oracles import (
     ball_masks,
@@ -28,6 +31,7 @@ from oracles import (
     naive_minimal_size,
     reference_from_words,
     reference_minimal_covering_code,
+    reference_subtree_nodes,
     sphere_covering_lower_bound,
     words_of,
 )
@@ -141,8 +145,15 @@ def test_deadline_read_inside_a_bulk_counted_level(monkeypatch):
 
 
 @lru_cache(maxsize=16)
-def _cached_masks(q, n, radius):
-    return _ball_masks(HammingSpace(q, n), radius)
+def _cached_tables(q, n, radius):
+    """The solver's ball tables: big-int masks, (W, q^n) columns and ball words."""
+    rows = _ball_rows(HammingSpace(q, n), radius)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return masks, np.ascontiguousarray(rows.T), _ball_words(rows)
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @st.composite
@@ -150,14 +161,14 @@ def _last_levels(draw):
     q = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(1, 6))
     radius = draw(st.integers(0, n))
-    masks = _cached_masks(q, n, radius)
+    masks = _cached_tables(q, n, radius)[0]
     m = q**n
     # most of the uncovered words share a ball, so a completing word often exists
-    ball = _mask_bits(masks[draw(st.integers(0, m - 1))])
+    ball = _bits(masks[draw(st.integers(0, m - 1))])
     words = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=8))
     words += draw(st.lists(st.integers(0, m - 1), max_size=2))
     uncovered = sum(1 << w for w in set(words))
-    cands = _mask_bits(masks[(uncovered & -uncovered).bit_length() - 1])
+    cands = _bits(masks[(uncovered & -uncovered).bit_length() - 1])
     return masks, (1 << m) - 1, uncovered, cands, draw(st.integers(0, len(cands)))
 
 
@@ -168,6 +179,63 @@ def test_first_completing_matches_brute_scan(case):
     covered = full ^ uncovered
     want = next((i for i in range(lo, len(cands)) if masks[cands[i]] | covered == full), None)
     assert _first_completing(masks, uncovered, cands, lo) == want
+
+
+@st.composite
+def _subtrees(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[q]))  # up to four 64-bit words
+    radius = draw(st.integers(0, n))
+    masks, columns, words = _cached_tables(q, n, radius)
+    m = q**n
+    full = (1 << m) - 1
+    # a covered prefix, which puts the lowest uncovered word past the first
+    # 64-bit words, a few balls, as on a search path, and a sparse random set
+    covered = (1 << draw(st.integers(0, m - 1))) - 1
+    covered |= draw(st.integers(0, full)) & draw(st.integers(0, full)) & draw(st.integers(0, full))
+    for w in draw(st.lists(st.integers(0, m - 1), max_size=4)):
+        covered |= masks[w]
+    assume(covered != full)
+    # slack 1..4, cut where the per-node oracle would take too long
+    k = draw(st.integers(1, 4))
+    while k > 1 and len(words[0]) ** k > 20000:
+        k -= 1
+    min_excl = draw(st.one_of(st.just(-1), st.integers(0, m - 1)))
+    return masks, columns, words, covered, k, min_excl
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_subtrees())
+def test_subtree_nodes_match_per_node_recursion(case):
+    masks, columns, words, covered, k, min_excl = case
+    got = _subtree_nodes(columns, words, covered, k, min_excl)
+    assert got == reference_subtree_nodes(masks, covered, k, min_excl)
+    assert got is None or type(got) is int  # nodes lands in the solve JSON
+
+
+def test_subtree_nodes_give_up_past_the_cap(monkeypatch):
+    # K_2(6,1) = 12, so ten more codewords never complete a cover through the
+    # zero word: the count is exact, and larger than the cap
+    masks, columns, words = _cached_tables(2, 6, 1)
+    want = reference_subtree_nodes(masks, masks[0], 10, 6)
+    assert want > solver_mod._COUNT_CAP
+    assert _subtree_nodes(columns, words, masks[0], 10, 6) is None
+    monkeypatch.setattr(solver_mod, "_COUNT_CAP", want)
+    assert _subtree_nodes(columns, words, masks[0], 10, 6) == want
+
+
+def test_subtree_nodes_hold_little_memory_on_deep_trees():
+    # 200 more codewords on [2]^10 leave so much slack that a smaller cover
+    # lies deep below nearly every node; the count gives up once its pending
+    # children pass the cap in words, instead of holding a block per level
+    masks, columns, words = _cached_tables(2, 10, 1)
+    tracemalloc.start()
+    try:
+        assert _subtree_nodes(columns, words, masks[0], 200, -1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * solver_mod._COUNT_CAP + (2 << 20)  # the cap's words, and the last step
 
 
 def test_translation_preserves_covering():
