@@ -16,6 +16,7 @@ exhausting domination trials.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -27,11 +28,11 @@ from typing import List, Optional
 from . import bounds
 from .codes import (
     Code,
-    dumps_code,
     read_code,
     render_words,
     verify_covering,
     verify_covering_sampled,
+    write_code,
 )
 from .construct import BASE_POLICIES, dumps_trace, recursive_construct
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     InfeasibleParamsError,
     SpaceTooLargeError,
 )
-from .hamming import DEFAULT_ENUMERATION_GUARD, HammingSpace
+from .hamming import DEFAULT_ENUMERATION_GUARD, HammingSpace, word_index
 from .solver import EXACT_SOLVER_GUARD, minimal_covering_code
 
 EXIT_OK = 0
@@ -67,6 +68,15 @@ class _FileProblem(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while writing ``path`` as a file problem (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise _FileProblem(f"cannot write {path}: {exc}") from exc
+
+
 def _warn_guard_override(kind: str, value: int, default: int) -> None:
     if value > default:
         print(
@@ -88,8 +98,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     trace_path = Path(args.trace) if args.trace else out.with_suffix(".trace.json")
-    out.write_text(dumps_code(code))
-    trace_path.write_text(dumps_trace(trace))
+    with _writing(out):
+        write_code(out, code)
+    with _writing(trace_path):
+        trace_path.write_text(dumps_trace(trace))
     print(
         f"constructed {len(code)} codewords over [{args.q}]^{args.n} at radius {args.R}; "
         f"density {trace.density} ~ {_fmt(float(trace.density))}"
@@ -124,7 +136,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if verdict.covered:
             print("covered")
             return EXIT_OK
-    print(f"uncovered: witness {render_words([verdict.witness], code.space.q)}")
+    witness = render_words(code.space, [word_index(code.space, verdict.witness)])
+    print(f"uncovered: witness {witness}")
     return EXIT_COUNTEREXAMPLE
 
 
@@ -140,7 +153,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -189,7 +203,8 @@ def cmd_bounds_table(args: argparse.Namespace) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

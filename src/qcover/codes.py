@@ -3,17 +3,18 @@
 A code is a sorted array of distinct word indices in one Hamming space;
 words cross this module only as indices or as a (k, n) digit matrix. The
 code-file parser splits word texts into such a matrix and checks its
-membership once, and :func:`render_words` is the one renderer of word
-texts. A code file is rendered directly, byte for byte as
-``json.dumps(..., sort_keys=True, indent=2)`` would write it. A file in that
-canonical layout with q <= 10 is read back in one fixed-stride pass over
-its bytes; any other valid JSON layout goes through ``json``, with the same
-result. A density is an exact ``Fraction``. Exhaustive covering
-verification asks :func:`~qcover.hamming.uncovered_indices` for the words
-the code misses. Sampled verification spot-checks random words on spaces
-too large to enumerate: it binary-searches the indices of each word's
-radius-R ball in the code's sorted indices, or, where that costs more than
-scanning the code's digit columns, scans them once per word.
+membership once, and word texts are rendered from indices (for q <= 10 by
+:func:`~qcover.hamming.indices_to_ascii`). A code file is written byte for
+byte as ``json.dumps(..., sort_keys=True, indent=2)`` would write it, and
+with q <= 10 it streams to and from disk through one reused block of
+:data:`BLOCK_ROWS` rows, never held whole. Any other valid JSON layout is
+read by ``json``, with the same result. A density is an exact
+``Fraction``. Exhaustive covering verification asks
+:func:`~qcover.hamming.uncovered_indices` for the words the code misses.
+Sampled verification spot-checks random words on spaces too large to
+enumerate: it binary-searches the indices of each word's radius-R ball in
+the code's sorted indices, or, where that costs more than scanning the
+code's digit columns, scans them once per word.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .hamming import (
     check_radius,
     digits_to_indices,
     index_word,
+    indices_to_ascii,
     indices_to_digits,
     uncovered_indices,
 )
@@ -264,27 +265,24 @@ def _words_code(space: HammingSpace, words: list, symbols: np.ndarray, counts) -
     return Code(space, idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx)
 
 
-def render_words(digits, q: int, sep: str = "") -> str:
-    """``sep.join`` of the code-file texts of the rows of a (k, n) digit matrix.
+def render_words(space: HammingSpace, indices, sep: str = "") -> str:
+    """``sep.join`` of the code-file texts of the words with these indices.
 
-    A word's text is its digits for q <= 10, laid out with ``sep`` in one
-    uint8 buffer that is decoded once, and otherwise its decimal symbols
-    joined by commas, one word at a time.
+    A text is the word's digits for q <= 10, otherwise its symbols joined by commas.
     """
-    digits = np.asarray(digits)
-    if q > 10:
+    if space.q > 10:
+        digits = indices_to_digits(space, np.asarray(indices, np.int64))
         return sep.join(",".join(map(str, row)) for row in digits.tolist())
-    k, n = digits.shape
-    buf = np.empty((k, n + len(sep)), np.uint8)
-    buf[:, :n] = digits + ord("0")
-    buf[:, n:] = np.frombuffer(sep.encode("ascii"), np.uint8)
-    text = buf.reshape(-1)
+    n = space.n
+    rows = np.empty((len(indices), n + len(sep)), np.uint8)
+    rows[:, n:] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    text = indices_to_ascii(space, indices, rows).reshape(-1)
     return str(text[: text.size - len(sep)], "ascii")
 
 
 def code_to_dict(code: Code) -> dict:
     sp = code.space
-    texts = render_words(indices_to_digits(sp, code.indices), sp.q, "\n")
+    texts = render_words(sp, code.indices, "\n")
     return {"q": sp.q, "n": sp.n, "words": texts.split("\n") if len(code) else []}
 
 
@@ -309,69 +307,100 @@ def code_from_dict(obj: dict) -> Code:
     return _words_code(space, texts, np.array(symbols, np.min_scalar_type(q)), map(len, split))
 
 
-# The canonical layout after the header, which dumps_code writes and
+# The canonical layout after the header, which write_code writes and
 # _read_canonical matches. The separator and the closing bytes have the same
 # length, so every word ends a row of n + 8 bytes.
-_NO_WORDS = "]\n}\n"
-_FIRST_WORD = '\n    "'
-_WORD_SEP = '",\n    "'
-_LAST_WORD_END = '"\n  ]\n}\n'
+_NO_WORDS = b"]\n}\n"
+_FIRST_WORD = b'\n    "'
+_WORD_SEP = b'",\n    "'
+_LAST_WORD_END = b'"\n  ]\n}\n'
 
-#: dumps_code's header for 2 <= q <= 10. An n of three or more digits never
-#: indexes with q >= 2, so the json path handles it.
-_CANONICAL_HEAD = re.compile(rb'\{\n  "n": (0|[1-9][0-9]?),\n  "q": ([2-9]|10),\n  "words": \[')
+#: write_code's opening for 2 <= q <= 10, up to its first word, or the whole
+#: file of the empty code. An n of three or more digits never indexes with
+#: q >= 2, so the json path handles it.
+_CANONICAL_HEAD = re.compile(
+    rb'\{\n  "n": (0|[1-9][0-9]?),\n  "q": ([2-9]|10),\n  "words": \[(?:\n    "|(\]\n\}\n)\Z)'
+)
+
+#: Rows per block when a code file streams between disk and ``Code.indices``.
+BLOCK_ROWS = 1 << 15
+
+
+def _file_chunks(code: Code) -> Iterator:
+    """``json.dumps(code_to_dict(code), sort_keys=True, indent=2) + "\\n"`` in bytes-like pieces.
+
+    A block of words is rendered at a time; for q <= 10 each block is the
+    same uint8 buffer of (n + 8)-byte rows, valid until the next is drawn.
+    """
+    sp, k, n = code.space, len(code), code.space.n
+    yield f'{{\n  "n": {n},\n  "q": {sp.q},\n  "words": ['.encode() + (_FIRST_WORD if k else _NO_WORDS)
+    if sp.q > 10:
+        for done in range(0, k, BLOCK_ROWS):
+            block = code.indices[done : done + BLOCK_ROWS]
+            end = _LAST_WORD_END if done + len(block) == k else _WORD_SEP
+            yield render_words(sp, block, _WORD_SEP.decode()).encode() + end
+        return
+    buf = np.empty((min(k, BLOCK_ROWS), n + len(_WORD_SEP)), np.uint8)
+    buf[:, n:] = np.frombuffer(_WORD_SEP, np.uint8)
+    for done in range(0, k, BLOCK_ROWS):
+        rows = indices_to_ascii(sp, code.indices[done : done + BLOCK_ROWS], buf[: k - done])
+        if done + len(rows) == k:
+            rows[-1, n:] = np.frombuffer(_LAST_WORD_END, np.uint8)
+        yield rows
+
+
+def write_code(path, code: Code) -> None:
+    """Write ``code``'s canonical file to ``path``, one block of words at a time."""
+    with open(path, "wb") as f:
+        for chunk in _file_chunks(code):
+            f.write(chunk)
 
 
 def dumps_code(code: Code) -> str:
-    """The canonical code file, rendered directly.
+    """The canonical code file that :func:`write_code` writes, as one string."""
+    return "".join(str(chunk, "ascii") for chunk in _file_chunks(code))
 
-    Byte for byte ``json.dumps(code_to_dict(code), sort_keys=True, indent=2)``
-    plus a newline: a fixed header, the words from one :func:`render_words`
-    call, and the closing lines.
+
+def _read_canonical(f) -> Optional[Code]:
+    """The code in seekable file ``f`` if it is what :func:`write_code` writes for q <= 10, else None.
+
+    After the header, word i is row i of n digits and 8 separator (or
+    closing) bytes. Once the file's size fits whole rows, they are read a
+    block at a time, and each block is checked and converted before the next.
     """
-    sp = code.space
-    head = f'{{\n  "n": {sp.n},\n  "q": {sp.q},\n  "words": ['
-    if not len(code):
-        return head + _NO_WORDS
-    words = render_words(indices_to_digits(sp, code.indices), sp.q, _WORD_SEP)
-    return f"{head}{_FIRST_WORD}{words}{_LAST_WORD_END}"
-
-
-def _read_canonical(data: bytes) -> Optional[Code]:
-    """The code in ``data`` if it is exactly what :func:`dumps_code` writes for q <= 10, else None.
-
-    After the header, word i fills row i of a (k, n + 8) byte matrix: its n
-    digits, then the 8 separator bytes, or the 8 closing bytes after the
-    last word. The matrix is a view of ``data``, taken once the lengths
-    show that k whole rows end exactly at the end of the file. Any other
-    layout, a byte that is not a digit below q, or words out of order or
-    repeated (which :class:`Code` rejects), gives None.
-    """
-    head = _CANONICAL_HEAD.match(data)
+    size = f.seek(0, io.SEEK_END)
+    f.seek(0)
+    head = _CANONICAL_HEAD.match(f.read(64))  # longer than any opening it matches
     if head is None:
         return None
     space = HammingSpace(int(head[2]), int(head[1]))
     if space.size >= INDEX_LIMIT:
         return None
-    q, n, start = space.q, space.n, head.end()
-    if len(data) == start + len(_NO_WORDS) and data.endswith(_NO_WORDS.encode()):
+    if head[3]:
         return Code(space, np.empty(0, np.int64))
-    if data[start : start + len(_FIRST_WORD)] != _FIRST_WORD.encode():
-        return None
-    start += len(_FIRST_WORD)
+    q, n = space.q, space.n
     stride = n + len(_WORD_SEP)
-    if len(data) <= start or (len(data) - start) % stride:
+    k, extra = divmod(size - f.seek(head.end()), stride)
+    if not k or extra:
         return None
-    rows = np.frombuffer(data, np.uint8, offset=start).reshape(-1, stride)
-    sep = np.frombuffer(_WORD_SEP.encode(), np.uint8)
-    end = np.frombuffer(_LAST_WORD_END.encode(), np.uint8)
-    if np.any(rows[:-1, n:] != sep) or np.any(rows[-1, n:] != end):
-        return None
-    digits = rows[:, :n] - ord("0")  # bytes below "0" wrap high
-    if digits.max(initial=0) >= q:
+    indices = np.empty(k, np.int64)
+    buf = np.empty((min(k, BLOCK_ROWS), stride), np.uint8)
+    # each row's last 8 bytes, compared as one little-endian integer
+    sep, end = (int.from_bytes(b, "little") for b in (_WORD_SEP, _LAST_WORD_END))
+    for done in range(0, k, BLOCK_ROWS):
+        rows = buf[: k - done]
+        tails = rows[:, n:].view("<u8")[:, 0]
+        last = done + len(rows) == k
+        if f.readinto(rows) != rows.nbytes or np.any(tails[: len(rows) - last] != sep):
+            return None
+        digits = rows[:, :n] - ord("0")  # bytes below "0" wrap high
+        if last and tails[-1] != end or digits.max(initial=0) >= q:
+            return None
+        indices[done : done + len(rows)] = digits_to_indices(space, digits)
+    if f.read(1):  # the file grew since its size was read
         return None
     try:
-        return Code(space, digits_to_indices(space, digits))
+        return Code(space, indices)
     except ValueError:  # words out of order or repeated
         return None
 
@@ -379,19 +408,18 @@ def _read_canonical(data: bytes) -> Optional[Code]:
 def read_code(path) -> Code:
     """Read a code file, or the code inside a ``solve --out`` result file.
 
-    A canonical file with q <= 10 is read in one fixed-stride pass over its
-    bytes (see :func:`_read_canonical`). Any other file is decoded as
-    :meth:`Path.read_text` would and parsed by ``json``; a canonical file
-    gives the same ``Code`` either way.
+    A canonical file is read by :func:`_read_canonical`, any other by
+    ``json`` as :meth:`pathlib.Path.read_text` decodes it, with the same ``Code``.
     """
-    data = Path(path).read_bytes()
-    code = _read_canonical(data)
-    if code is not None:
-        return code
-    # json's word strings take several times the file: drop the bytes and
-    # the text as soon as the next form exists
-    text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
-    del data
+    with open(path, "rb") as f:
+        if f.seekable():
+            code = _read_canonical(f)
+            if code is not None:
+                return code
+            f.seek(0)
+        text = io.TextIOWrapper(f, encoding=io.text_encoding(None)).read()
+    # json's word strings take several times the file: drop the text as soon
+    # as the object exists
     obj = json.loads(text)
     del text
     if isinstance(obj, dict) and "words" not in obj and isinstance(obj.get("code"), dict):

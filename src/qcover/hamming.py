@@ -4,12 +4,14 @@ Words are plain tuples of ints drawn from {0, ..., q-1}. A word's index is
 its mixed-radix value with the leftmost symbol most significant, so index
 order coincides with lexicographic order on words. Many words at once are
 a (k, n) digit matrix or an int64 index array; the two convert row-wise
-with the same bijection. All counts are exact Python integers; floats
+with the same bijection, and for q <= 10 indices also render straight to
+rows of ASCII digits. All counts are exact Python integers; floats
 never enter the combinatorics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -164,6 +166,36 @@ def indices_to_digits(space: HammingSpace, indices: np.ndarray) -> np.ndarray:
             out[j] = limb - high * q
             limb = high
     return out.T
+
+
+def indices_to_ascii(space: HammingSpace, indices, out: np.ndarray) -> np.ndarray:
+    """Row-wise ASCII digits (q <= 10): index i fills the first n bytes of row i of ``out``.
+
+    Each limb of m digits with q^m <= 2^12 is one ``np.take`` from a table
+    of all m-digit texts. The other bytes of ``out`` are left as they are.
+    Returns ``out``.
+    """
+    q, n = space.q, space.n
+    m = max(1, _max_length(q, n, 1 << 12))
+    rest = np.asarray(indices, np.int64)
+    for stop in range(n, 0, -m):
+        width = min(m, stop)
+        high = rest // q**width  # floor division by a scalar is the fast form
+        texts = np.take(_ascii_table(q, width), rest - high * q**width)
+        out[:, stop - width : stop].view((np.void, width))[:, 0] = texts
+        rest = high
+    return out
+
+
+@functools.cache
+def _ascii_table(q: int, m: int) -> np.ndarray:
+    """The words of [q]^m in index order as ASCII digits, one m-byte void each."""
+    table = np.empty((q**m, m), np.uint8)
+    rest = np.arange(q**m)
+    for j in range(m - 1, -1, -1):
+        rest, table[:, j] = np.divmod(rest, q)
+    table += ord("0")
+    return table.view((np.void, m))[:, 0]
 
 
 def _limbs(q: int, n: int) -> tuple:

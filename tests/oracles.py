@@ -201,7 +201,7 @@ def reference_code_from_dict(obj):
 
 
 def json_read_code(path):
-    """The code file reader with ``json`` for every layout: the fixed-stride reader's oracle."""
+    """The code file reader with ``json`` for every layout: the block reader's oracle."""
     obj = json.loads(Path(path).read_text())
     if isinstance(obj, dict) and "words" not in obj and isinstance(obj.get("code"), dict):
         obj = obj["code"]

@@ -135,6 +135,35 @@ def test_missing_file_exits_two(capsys):
     assert status == 2 and "cannot read" in err
 
 
+def _unwritable(tmp_path):
+    """A path whose directory does not exist, so opening it for writing fails."""
+    return str(tmp_path / "missing-dir" / "out.json")
+
+
+def test_construct_unwritable_paths_exit_two(tmp_path, capsys):
+    good = str(tmp_path / "code.json")
+    bad = _unwritable(tmp_path)
+    args = ["construct", "--q", "2", "--n", "6", "--R", "1", "--x", "2.4", "--y", "2"]
+    for paths in (["--out", bad], ["--out", good, "--trace", bad]):
+        status, out, err = run(capsys, *args, *paths)
+        assert status == 2 and out == "", paths
+        assert err.startswith(f"error: cannot write {bad}: ") and "Traceback" not in err
+
+
+def test_solve_unwritable_out_exits_two(tmp_path, capsys):
+    bad = _unwritable(tmp_path)
+    status, out, err = run(capsys, "solve", "--q", "2", "--n", "3", "--R", "1", "--out", bad)
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_bounds_table_unwritable_out_exits_two(tmp_path, capsys):
+    bad = _unwritable(tmp_path)
+    status, out, err = run(capsys, "bounds", "table", "--R-min", "1", "--R-max", "3", "--out", bad)
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: cannot write {bad}: ")
+
+
 def test_malformed_file_exits_two(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

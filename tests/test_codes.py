@@ -1,7 +1,9 @@
 """Covering verification, density, and the code file format."""
 
+import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from qcover import (
     verify_covering,
     verify_covering_sampled,
 )
+from qcover import codes
 from qcover.codes import (
     _ball_offsets,
     _lookup_pays,
@@ -26,6 +29,7 @@ from qcover.codes import (
     code_to_dict,
     dumps_code,
     read_code,
+    write_code,
 )
 from qcover.hamming import (
     ball_volume,
@@ -519,11 +523,16 @@ def _digit_codes(draw):
     return Code(sp, sorted(draw(st.sets(st.integers(0, sp.size - 1), max_size=60))))
 
 
+def _block_read(data):
+    """What the block reader makes of a file holding ``data``: a Code, or None to decline."""
+    return _read_canonical(io.BytesIO(data))
+
+
 @settings(max_examples=300, deadline=None)
 @given(code=_digit_codes())
 def test_fixed_stride_reader_matches_json_path(code):
     data = dumps_code(code).encode()
-    got = _read_canonical(data)
+    got = _block_read(data)
     assert got is not None and got == code_from_dict(json.loads(data)) == code
 
 
@@ -542,7 +551,7 @@ _SOLVE_OUT = json.dumps(
 ).encode() + b"\n"
 
 # Hand-mutated canonical files of [3]^4 (words 0000 0012 0111 1111 2221 2222):
-# the fixed-stride reader declines each, and read_code must then give what
+# the block reader declines each, and read_code must then give what
 # the json path gives, a Code or an error.
 _MUTATED = {
     "separator byte, still JSON": _CANONICAL.replace(b'",\n    "', b'",\n   \t"', 1),
@@ -571,7 +580,7 @@ def test_mutated_canonical_files_read_as_json_does(tmp_path):
     code = read_code(path)
     outcomes = []
     for name, data in _MUTATED.items():
-        assert data != _CANONICAL and _read_canonical(data) is None, name
+        assert data != _CANONICAL and _block_read(data) is None, name
         path.write_bytes(data)
         want = _read_outcome(json_read_code, path)
         assert _read_outcome(read_code, path) == want, name
@@ -593,4 +602,99 @@ def test_reader_edges_match_json_path(tmp_path, q, n, indices):
         path.write_text(json.dumps({"q": q, "n": n, "words": []}, sort_keys=True, indent=2) + "\n")
     want = _read_outcome(json_read_code, path)
     assert _read_outcome(read_code, path) == want
-    assert (_read_canonical(path.read_bytes()) is not None) == (q <= 10 and isinstance(want, Code))
+    assert (_block_read(path.read_bytes()) is not None) == (q <= 10 and isinstance(want, Code))
+
+
+_BLOCK = 4  # BLOCK_ROWS in the tests below, so a few words span several blocks
+
+
+@pytest.mark.parametrize("n", [1, 12, 13])  # the q=2 limb of 12 digits ends at and past n=12
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_files_round_trip_across_block_boundaries(tmp_path, monkeypatch, q, n):
+    monkeypatch.setattr(codes, "BLOCK_ROWS", _BLOCK)
+    sp = HammingSpace(q, n)
+    rng = random.Random(f"blocks:{q}:{n}")
+    path = tmp_path / "code.json"
+    for k in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        if k > sp.size:
+            continue
+        code = Code(sp, sorted(rng.sample(range(sp.size), k)))
+        write_code(path, code)
+        text = path.read_text()
+        assert text == json.dumps(code_to_dict(code), sort_keys=True, indent=2) + "\n", k
+        assert text == json_dumps_code(code) == dumps_code(code), k
+        assert _block_read(path.read_bytes()) == code == read_code(path), k
+
+
+def _damaged_files(q, n):
+    """Canonical files of 2 * _BLOCK + 1 words of [q]^n, each damaged in one way.
+
+    With _BLOCK rows per block, rows 4-7 form the middle block and row 8
+    the last one.
+    """
+    sp = HammingSpace(q, n)
+    code = Code(sp, sorted(random.Random(f"damage:{q}:{n}").sample(range(sp.size), 2 * _BLOCK + 1)))
+    data = dumps_code(code).encode()
+    stride = n + 8
+    start = len(data) - (2 * _BLOCK + 1) * stride  # the first word's first digit
+
+    def at(row, col, byte):
+        i = start + row * stride + col
+        return data[:i] + byte + data[i + 1 :]
+
+    return data, {
+        "middle block, digit not a digit": at(5, n // 2, b"x"),
+        "middle block, digit equal to q": at(6, 0, b":" if q == 10 else str(q).encode()),
+        "middle block, separator, still JSON": at(5, n + 6, b"\t"),
+        "middle block, separator, not JSON": at(6, n + 1, b";"),
+        "last block, digit not a digit": at(8, n - 1, b"/"),
+        "last block, closing bytes, still JSON": at(8, n + 3, b"\t"),
+        "last block, closing bytes, not JSON": at(8, n + 4, b")"),
+        "words swapped across a block boundary": (
+            data[: start + 3 * stride] + data[start + 4 * stride : start + 4 * stride + n]
+            + data[start + 3 * stride + n : start + 4 * stride]
+            + data[start + 3 * stride : start + 3 * stride + n] + data[start + 4 * stride + n :]
+        ),
+        "cut mid-row": data[: start + 6 * stride + n // 2],
+    }
+
+
+@pytest.mark.parametrize("q,n", [(2, 12), (3, 13), (10, 12)])
+def test_damaged_blocks_read_as_json_does(tmp_path, monkeypatch, q, n):
+    monkeypatch.setattr(codes, "BLOCK_ROWS", _BLOCK)
+    data, damaged = _damaged_files(q, n)
+    path = tmp_path / "code.json"
+    path.write_bytes(data)
+    code = read_code(path)
+    outcomes = []
+    for name, bad in damaged.items():
+        assert bad != data and _block_read(bad) is None, name
+        path.write_bytes(bad)
+        want = _read_outcome(json_read_code, path)
+        assert _read_outcome(read_code, path) == want, name
+        outcomes.append(want)
+    assert sum(o == code for o in outcomes) == 3  # still JSON: the same code
+    assert sum(isinstance(o, tuple) for o in outcomes) == 6  # each an error
+
+
+def test_code_files_stream_in_bounded_memory(tmp_path):
+    """Neither direction holds the file: peaks stay far below its 16 MiB."""
+    mib = 1 << 20
+    k = 1 << 19
+    rng = np.random.default_rng(0)
+    code = Code(HammingSpace(2, 24), np.arange(0, 1 << 24, 32) + rng.integers(0, 32, k))
+    path = tmp_path / "code.json"
+    tracemalloc.start()
+    try:
+        write_code(path, code)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        again = read_code(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 16 * mib
+    assert again == code
+    assert write_peak < 4 * mib, write_peak
+    # the indices twice, as read_code fills them and as the Code's own copy
+    assert read_peak < 2 * 8 * k + 4 * mib, read_peak

@@ -19,6 +19,7 @@ from qcover import (
 from qcover.hamming import (
     digits_to_indices,
     expand_within_radius,
+    indices_to_ascii,
     indices_to_digits,
     uncovered_indices,
 )
@@ -256,6 +257,20 @@ def test_indices_to_digits_matches_index_word(q, n):
     digits = indices_to_digits(sp, np.array(indices, dtype=np.int64))
     assert digits.shape == (len(indices), n) and digits.dtype == np.min_scalar_type(q - 1)
     assert [tuple(row) for row in digits.tolist()] == [index_word(sp, i) for i in indices]
+
+
+@pytest.mark.parametrize("q,n", [
+    (2, 0), (2, 1), (2, 11), (2, 12), (2, 13), (2, 62),  # 12-digit limbs: one, one full, two
+    (3, 7), (3, 8), (3, 39), (7, 22), (10, 3), (10, 4), (10, 18),
+])
+def test_indices_to_ascii_matches_index_word(q, n):
+    sp = HammingSpace(q, n)
+    rng = random.Random(f"ascii:{q}:{n}")
+    indices = sorted({0, sp.size - 1} | {rng.randrange(sp.size) for _ in range(50)})
+    out = np.full((len(indices), n + 3), ord("#"), np.uint8)
+    assert indices_to_ascii(sp, np.array(indices, dtype=np.int64), out) is out
+    want = ["".join(map(str, index_word(sp, i))) + "###" for i in indices]
+    assert [bytes(row).decode() for row in out] == want
 
 
 @pytest.mark.parametrize("q,n", [
