@@ -29,10 +29,9 @@ which improves the incumbent or proves feasibility, does. So each call of
 the search first counts its whole subtree with numpy, a level at a time
 (:func:`_subtree_nodes`), and if no node in it completes the cover adds the
 count to ``nodes`` in bulk, through the same budget checkpoints. Otherwise,
-or past a cap of ``_COUNT_CAP`` nodes, it runs its loop, and each child
-makes its own attempt; counts that gave up may take at most half the
-search's time. The tree, its visit order, ``nodes`` and every output are
-those of the loop alone.
+or past a cap on nodes or memory, it runs its loop, and each child makes
+its own attempt; counts that gave up take at most half the search's time.
+The tree, its visit order, ``nodes`` and every output are the loop's alone.
 """
 
 from __future__ import annotations
@@ -58,13 +57,10 @@ EXACT_SOLVER_GUARD = 1 << 12
 #: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
 GREEDY_COVER_GUARD = 1 << 14
 
-#: A subtree count works on at most this many uint64 words of children at once.
-_COUNT_STEP_WORDS = 1 << 13
-
-#: A subtree count gives up past this many nodes, or this many uint64 words
-#: of pending children, so that a budget is read before long and a deep
-#: tree holds little memory; the subtree is then visited child by child.
-_COUNT_CAP = 1 << 18
+#: A subtree count gives up past this many nodes, so that budgets are read
+#: soon, or this many uint64 words of pending children, so that a deep tree
+#: holds little memory; the subtree is then visited child by child.
+_COUNT_NODES, _COUNT_WORDS = 1 << 19, 1 << 18
 
 
 @dataclass(frozen=True)
@@ -145,15 +141,15 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, covered: int, k: int,
     lowest uncovered word; a child passes when at most k - 1 more balls
     could cover the rest, and is searched with k - 1. Returns None when some
     node completes the cover, where the visit order decides the outcome, or
-    when the count or the pending children's words pass ``_COUNT_CAP``;
-    otherwise no order can change the count.
-
-    Covered sets are searched in blocks of (W, r) columns, a level at a
-    time, each step kept to ``_COUNT_STEP_WORDS`` words of children.
+    past ``_COUNT_NODES`` nodes or ``_COUNT_WORDS`` pending words; otherwise
+    no order can change the count. Covered sets are searched a level at a
+    time, in steps of 2^13 words of children, or of 128 rows of V*W words
+    where those fit in ``_COUNT_WORDS``.
     """
     width, m = balls.shape
     v_ball = words.shape[1]
-    rows = max(1, _COUNT_STEP_WORDS // (v_ball * width))
+    vw = v_ball * width
+    rows = max((1 << 13) // vw, 128 if 128 * vw <= _COUNT_WORDS else 1)
     start = np.frombuffer(covered.to_bytes(8 * width, "little"), dtype="<u8")[:, None]
     stack = [(start, k)]
     count, held = 0, start.size  # nodes counted; words in the pending blocks
@@ -172,14 +168,18 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, covered: int, k: int,
             at = (ones < 64).argmax(axis=0)
             low = at * 64 + ones.ravel()[at * len(low) + np.arange(len(low))]
         cands = words[low]
-        skip = cands <= min_excl
-        count += skip.size - int(np.count_nonzero(skip))
-        if count > _COUNT_CAP:
+        count += cands.size
+        if min_excl >= 0:
+            skip = cands <= min_excl
+            count -= int(np.count_nonzero(skip))
+        if count > _COUNT_NODES:
             return None
         child = np.take(balls, cands, axis=1)
         child |= cov[:, :, None]
-        got = np.bitwise_count(child).sum(axis=0)
-        got[skip] = 0
+        got = np.bitwise_count(child)
+        got = got[0] if width == 1 else got.sum(axis=0, dtype=np.min_scalar_type(m))
+        if min_excl >= 0:
+            got[skip] = 0
         top = got.max()
         if top == m:
             return None
@@ -188,7 +188,7 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, covered: int, k: int,
             child = np.compress((got >= need).ravel(), child.reshape(width, -1), axis=1)
             stack.append((child, k - 1))
             held += child.size
-            if held > _COUNT_CAP:
+            if held > _COUNT_WORDS:
                 return None
     return count
 
@@ -334,10 +334,10 @@ def minimal_covering_code(
 
     members: List[Optional[List[int]]] = [None] * m
     # Counts that give up are wasted work. Where most subtrees hold a smaller
-    # cover or pass the cap (K_2(12,1), say), every call's count would give
-    # up, and 256 nodes could take minutes between two deadline reads; so a
-    # call skips its count while counts that gave up have taken more than
-    # half the search's time, and a deadline is read at most one count late.
+    # cover or pass a cap (K_2(12,1), say), every call's count would give up,
+    # and 256 nodes could take minutes between two deadline reads; so a call
+    # skips its count while counts that gave up have taken more than half
+    # the search's time, and a deadline is read at most one count late.
     searching = time.perf_counter()
     gave_up_s = 0.0
 

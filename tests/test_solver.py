@@ -184,7 +184,7 @@ def test_first_completing_matches_brute_scan(case):
 @st.composite
 def _subtrees(draw):
     q = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[q]))  # up to four 64-bit words
+    n = draw(st.sampled_from(range(1, {2: 13, 3: 6, 4: 5}[q])))  # up to 64 64-bit words
     radius = draw(st.integers(0, n))
     masks, columns, words = _cached_tables(q, n, radius)
     m = q**n
@@ -204,7 +204,7 @@ def _subtrees(draw):
     return masks, columns, words, covered, k, min_excl
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(case=_subtrees())
 def test_subtree_nodes_match_per_node_recursion(case):
     masks, columns, words, covered, k, min_excl = case
@@ -215,13 +215,27 @@ def test_subtree_nodes_match_per_node_recursion(case):
 
 def test_subtree_nodes_give_up_past_the_cap(monkeypatch):
     # K_2(6,1) = 12, so ten more codewords never complete a cover through the
-    # zero word: the count is exact, and larger than the cap
+    # zero word: the count is exact, and larger than the node cap
     masks, columns, words = _cached_tables(2, 6, 1)
-    want = reference_subtree_nodes(masks, masks[0], 10, 6)
-    assert want > solver_mod._COUNT_CAP
-    assert _subtree_nodes(columns, words, masks[0], 10, 6) is None
-    monkeypatch.setattr(solver_mod, "_COUNT_CAP", want)
-    assert _subtree_nodes(columns, words, masks[0], 10, 6) == want
+    want = reference_subtree_nodes(masks, masks[0], 10, 4)
+    assert want > solver_mod._COUNT_NODES
+    assert _subtree_nodes(columns, words, masks[0], 10, 4) is None
+    monkeypatch.setattr(solver_mod, "_COUNT_NODES", want)
+    assert _subtree_nodes(columns, words, masks[0], 10, 4) == want
+
+
+def _count_peak(columns, words, covered, k, min_excl):
+    """The count of :func:`_subtree_nodes` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        got = _subtree_nodes(columns, words, covered, k, min_excl)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: the words cap, and the last step
+_COUNT_PEAK_BOUND = 8 * solver_mod._COUNT_WORDS + (2 << 20)
 
 
 def test_subtree_nodes_hold_little_memory_on_deep_trees():
@@ -229,13 +243,19 @@ def test_subtree_nodes_hold_little_memory_on_deep_trees():
     # lies deep below nearly every node; the count gives up once its pending
     # children pass the cap in words, instead of holding a block per level
     masks, columns, words = _cached_tables(2, 10, 1)
-    tracemalloc.start()
-    try:
-        assert _subtree_nodes(columns, words, masks[0], 200, -1) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * solver_mod._COUNT_CAP + (2 << 20)  # the cap's words, and the last step
+    got, peak = _count_peak(columns, words, masks[0], 200, -1)
+    assert got is None
+    assert peak < _COUNT_PEAK_BOUND
+
+
+def test_subtree_nodes_steps_stay_within_the_words_cap_on_big_balls():
+    # V = 386 and W = 16 on [2]^10 at radius 4: 128 rows of children would
+    # be 790k words, so a step keeps to 2^13 words; 256 of the zero word's
+    # 386 children pass, and make one block of the second level
+    masks, columns, words = _cached_tables(2, 10, 4)
+    got, peak = _count_peak(columns, words, masks[0], 2, -1)
+    assert got == reference_subtree_nodes(masks, masks[0], 2, -1)
+    assert peak < _COUNT_PEAK_BOUND
 
 
 def test_translation_preserves_covering():
