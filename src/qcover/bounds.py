@@ -17,7 +17,12 @@ feasibility factor through expm1 of the gap x - R*ln(y), which keeps both
 algebraic forms of the bound accurate even next to the feasibility boundary
 and for very large R. The optimizer's inner search over x is one fused loop
 that computes R*ln(y) and the power once per y and evaluates each x inline,
-in the same float operations as the plain factored form. The public bounds
+in the same float operations as the plain factored form. Its outer search
+over y decides a comparison from the closed-form inner optimum
+(y/(y-1))^R * (1 + x*), x* - log1p(x*) = R*ln(y), when the two points'
+estimates differ by more than 1e-9 relative; the estimates lie within 1e-10
+of the inner search's values, so each comparison goes as with both searches
+run, and the outputs are those of the plain nested search. The public bounds
 raise InfeasibleParamsError when the value, or R, is past the double range;
 the optimizer's own evaluations saturate to inf instead.
 """
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import InfeasibleParamsError
 
@@ -233,45 +238,20 @@ def closed_form_chain_check(R: int) -> Optional[str]:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple:
-    """Golden-section minimum of f on [lo, hi]; returns the best evaluated point.
-
-    The optimizer's outer search runs here; its objective, the inner search,
-    runs the same steps in :func:`_golden_min_x`.
-    """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(300):
-        if abs(b - a) <= 1e-10 * (abs(a) + abs(b) + 1e-12):  # relative bracket width
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+#: estimates further apart than this, relative, decide an outer comparison;
+#: they lie within a tenth of it of the inner searches' values
+_DECIDE_MARGIN = 1e-9
 
 
 def _golden_min_x(floor_x: float, rp: float, lo: float, hi: float) -> tuple:
-    """:func:`_golden_min` of the factored bound over x on [lo, hi], fused.
+    """Golden-section minimum of the factored bound over x on [lo, hi], fused.
 
-    ``floor_x`` is R*ln(y) <= lo and ``rp`` is (y/(y-1))^R. The steps are
-    _golden_min's and each evaluation is :func:`_bound_factored`'s float
-    operations in order, so the result is equal bit for bit; inlining saves
-    two Python calls per evaluation. As a >= floor_x > 0, the stop test needs
-    no abs(), and the loop's points, far more than an ulp above a, never
-    reach a zero gap.
+    ``floor_x`` is R*ln(y) <= lo and ``rp`` is (y/(y-1))^R; returns the best
+    evaluated (x, value). Each evaluation is :func:`_bound_factored`'s float
+    operations in order, so the result is the generic search's over that
+    function bit for bit; inlining saves two Python calls per evaluation. As
+    a >= floor_x > 0, the stop test needs no abs(), and the loop's points,
+    far more than an ulp above a, never reach a zero gap.
     """
     expm1 = math.expm1
     a, b = lo, hi
@@ -304,6 +284,91 @@ def _golden_min_x(floor_x: float, rp: float, lo: float, hi: float) -> tuple:
     return best_x, best_f
 
 
+def _inner_min_estimate(floor_x: float, rp: float, x_span: float) -> Optional[float]:
+    """Closed-form estimate of :func:`_golden_min_x`'s value at one y, or None.
+
+    At fixed y the bound is least at the x* with x - log1p(x) = L = R ln y
+    (``floor_x``), where it is (y/(y-1))^R * (1 + x*). Newton steps from
+    x0 = L + log1p(L) + 1, above x*, fall towards it, and a step under
+    1e-15 * (1 + x) ends them, so rounding cannot make them cycle. Where
+    ``rp`` is inf so is every value of the inner search, and the estimate.
+    It is None where x* is outside the inner bracket
+    (L + 1e-9, L + x_span], or from 1e300 on.
+    """
+    if rp == math.inf:
+        return math.inf
+    log1p = math.log1p
+    x = floor_x + log1p(floor_x) + 1.0
+    for _ in range(64):
+        step = (x - log1p(x) - floor_x) * (1.0 + x) / x
+        x -= step
+        if not step > 1e-15 * (1.0 + x):
+            break
+    else:
+        return None
+    g = rp * (1.0 + x)
+    return g if floor_x + 1e-9 < x <= floor_x + x_span and g < 1e300 else None
+
+
+def _golden_min_y(R: int, lo: float, hi: float) -> tuple:
+    """Golden-section minimum over u = ln(y - 1) on [lo, hi] of the inner
+    minimum over x; returns (value, x, y) of the best point.
+
+    Each point gets :func:`_inner_min_estimate`. A comparison whose two
+    estimates differ by more than _DECIDE_MARGIN, relative, is decided by
+    them; any other runs both inner searches and compares their values. As
+    the estimates are within a tenth of the margin of the values, each
+    comparison goes as in the plain search that runs :func:`_golden_min_x`
+    at every u, and a point left unsearched is beaten by one searched. So
+    the first point of least value, and the result, are the plain search's.
+    """
+    x_span = 20.0 * math.log(R + 2.0)
+    keep = 1.0 - _DECIDE_MARGIN
+    points: List[list] = []  # [estimate, then value; x once searched; y; u; R ln y; rp]
+
+    def point(u: float) -> list:
+        y = 1.0 + math.exp(u)
+        floor_x = R * math.log(y)
+        rp = _ratio_pow(y, R)
+        points.append([_inner_min_estimate(floor_x, rp, x_span), None, y, u, floor_x, rp])
+        return points[-1]
+
+    def settle(p: list) -> None:  # the inner search, once per point
+        if p[1] is None:
+            p[1], p[0] = _golden_min_x(p[4], p[5], p[4] + 1e-9, p[4] + x_span)
+
+    def less(p: list, q: list) -> bool:  # the plain search's value(p) < value(q)
+        gp, gq = p[0], q[0]
+        if gp is not None and gq is not None:
+            if gp < gq * keep:
+                return True
+            if gq < gp * keep or gp == math.inf:  # both inf, which is exact
+                return False
+        settle(p)
+        settle(q)
+        return p[0] < q[0]
+
+    a, b = lo, hi
+    c = point(b - _INV_PHI * (b - a))
+    d = point(a + _INV_PHI * (b - a))
+    for _ in range(300):
+        if abs(b - a) <= 1e-10 * (abs(a) + abs(b) + 1e-12):  # relative bracket width
+            break
+        if less(c, d):
+            b, d = d[3], c
+            c = point(b - _INV_PHI * (b - a))
+        else:
+            a, c = c[3], d
+            d = point(a + _INV_PHI * (b - a))
+    settle(c if less(c, d) else d)
+    best = None
+    for p in points:
+        if (p[1] is not None or p[0] == math.inf) and (best is None or p[0] < best[0]):
+            best = p
+    settle(best)
+    return best[0], best[1], best[2]
+
+
 class OptimizationResult(NamedTuple):
     x: float
     y: float
@@ -317,44 +382,29 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
     [ln 1e-6, ln(y_hi - 1)] with y_hi = 10 R ln(R + 2) + 10, and the inner
     pass moves x over (R ln y, R ln y + 20 ln(R + 2)] in one fused loop,
     :func:`_golden_min_x`, equal bit for bit to the generic search over the
-    factored form. Three outer bracket seeds plus a local polish hedge
-    against flat valleys, and for R >= 6 the chain-check parameter point
-    joins the candidate pool, so the result never loses to it. Raises
-    InfeasibleParamsError when the best bound is inf, as from R near 2^60.
+    factored form. The outer pass, :func:`_golden_min_y`, decides a
+    comparison from the closed-form inner optimum when the two estimates
+    differ by more than 1e-9 relative, and runs the inner searches only
+    otherwise; the estimates are within 1e-10 of the searched values, so
+    the result is the plain nested search's, float for float. Three outer
+    bracket seeds plus a local polish hedge against flat valleys, and for
+    R >= 6 the chain-check parameter point joins the candidate pool, so the
+    result never loses to it. Raises InfeasibleParamsError when the best
+    bound is inf, as from R near 2^60.
     """
     if R < 1:
         raise InfeasibleParamsError(f"requires R >= 1, got {R}")
     _require_double_R(R)
     y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
-    x_span = 20.0 * math.log(R + 2.0)
-
-    def best_x_for(y: float) -> tuple:
-        floor_x = R * math.log(y)
-        return _golden_min_x(floor_x, _ratio_pow(y, R), floor_x + 1e-9, floor_x + x_span)
-
-    def outer(u: float) -> float:
-        return best_x_for(1.0 + math.exp(u))[1]
-
     u_lo, u_hi = math.log(1e-6), math.log(y_hi - 1.0)
     u_mid = 0.5 * (u_lo + u_hi)
-    candidates: List[tuple] = []
-
-    def add_bracket(a: float, b: float) -> None:
-        u, _ = _golden_min(outer, a, b)
-        y = 1.0 + math.exp(u)
-        x, val = best_x_for(y)
-        candidates.append((val, x, y))
-
-    add_bracket(u_lo, u_hi)
-    add_bracket(u_lo, u_mid)
-    add_bracket(u_mid, u_hi)
+    candidates = [_golden_min_y(R, a, b) for a, b in ((u_lo, u_hi), (u_lo, u_mid), (u_mid, u_hi))]
     if R >= 6:
         xc, yc = _chain_params(R)
         if 1.0 < yc < y_hi:
             candidates.append((_bound_factored(R, xc, yc), xc, yc))
-    _, _, y0 = min(candidates)
-    u0 = math.log(y0 - 1.0)
-    add_bracket(max(u_lo, u0 - 2.0), min(u_hi, u0 + 2.0))
+    u0 = math.log(min(candidates)[2] - 1.0)
+    candidates.append(_golden_min_y(R, max(u_lo, u0 - 2.0), min(u_hi, u0 + 2.0)))
 
     val, x, y = min(candidates)
     if not val < math.inf:

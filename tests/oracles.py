@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import mpmath as mp
 import numpy as np
 
-from qcover.bounds import OptimizationResult, _bound_factored, _chain_params, _golden_min
+from qcover.bounds import OptimizationResult, _bound_factored, _chain_params
 from qcover.codes import Code, CoverVerdict, SampleVerdict, code_from_dict, density
 from qcover.errors import InfeasibleParamsError
 from qcover.hamming import (
@@ -525,34 +525,72 @@ def mp_optimal_bound(R):
     return min(fc, fd)
 
 
-def reference_optimize_parametric_bound(R):
-    """The optimizer as it was before its inner search was fused.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Kept verbatim, with the generic golden-section search over a full
-    ``_bound_factored(R, x, y)`` call at every x: the library's fused inner
-    search must return an equal result, float for float.
+
+def golden_min(f, lo, hi):
+    """Golden-section minimum of f on [lo, hi]; returns the best evaluated point.
+
+    The plain search the optimizer's inner and outer searches are checked
+    against, kept here so that the check does not run the code it checks.
     """
-    if R < 1:
-        raise InfeasibleParamsError(f"requires R >= 1, got {R}")
-    y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(300):
+        if abs(b - a) <= 1e-10 * (abs(a) + abs(b) + 1e-12):  # relative bracket width
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
+
+
+def reference_golden_min_y(R, a, b):
+    """The optimizer's outer search over u = ln(y - 1) on [a, b], plainly.
+
+    The generic golden-section search runs a full inner search at every u,
+    and that runs a full ``_bound_factored(R, x, y)`` call at every x; the
+    inner search runs once more at the winning u. Returns (value, x, y).
+    """
     x_span = 20.0 * math.log(R + 2.0)
 
     def best_x_for(y):
         floor_x = R * math.log(y)
-        return _golden_min(lambda x: _bound_factored(R, x, y), floor_x + 1e-9, floor_x + x_span)
+        return golden_min(lambda x: _bound_factored(R, x, y), floor_x + 1e-9, floor_x + x_span)
 
-    def outer(u):
-        return best_x_for(1.0 + math.exp(u))[1]
+    u, _ = golden_min(lambda u: best_x_for(1.0 + math.exp(u))[1], a, b)
+    y = 1.0 + math.exp(u)
+    x, val = best_x_for(y)
+    return val, x, y
 
+
+def reference_optimize_parametric_bound(R):
+    """The optimizer as it was before its searches were fused and decided.
+
+    Every point runs :func:`reference_golden_min_y`'s plain searches: the
+    library's optimizer must return an equal result, float for float.
+    """
+    if R < 1:
+        raise InfeasibleParamsError(f"requires R >= 1, got {R}")
+    y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
     u_lo, u_hi = math.log(1e-6), math.log(y_hi - 1.0)
     u_mid = 0.5 * (u_lo + u_hi)
     candidates = []
 
     def add_bracket(a, b):
-        u, _ = _golden_min(outer, a, b)
-        y = 1.0 + math.exp(u)
-        x, val = best_x_for(y)
-        candidates.append((val, x, y))
+        candidates.append(reference_golden_min_y(R, a, b))
 
     add_bracket(u_lo, u_hi)
     add_bracket(u_lo, u_mid)

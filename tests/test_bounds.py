@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcover import bounds
 from qcover import (
     BoundParams,
     InfeasibleParamsError,
@@ -22,9 +23,11 @@ from qcover.bounds import (
     BOUND_TABLE_HEADER,
     _bound_factored,
     _bound_geometric,
+    _DECIDE_MARGIN,
     _feasibility_tail,
-    _golden_min,
     _golden_min_x,
+    _golden_min_y,
+    _inner_min_estimate,
     _ratio_pow,
     bound_table_rows,
     floor_div_real,
@@ -32,6 +35,7 @@ from qcover.bounds import (
 )
 
 from oracles import (
+    golden_min,
     mp_chain_check,
     mp_classic_bound,
     mp_closed_form_bound,
@@ -40,6 +44,7 @@ from oracles import (
     mp_parametric_bound,
     recurrence_depth,
     recurrence_limit,
+    reference_golden_min_y,
     reference_optimize_parametric_bound,
     sample_feasible_params,
     simulate_constant_recurrence,
@@ -366,8 +371,77 @@ def test_golden_min_x_equals_golden_min_of_bound_factored(R, y_minus_1, gap, wid
     lo = floor_x + gap
     hi = lo + width
     got = _golden_min_x(floor_x, _ratio_pow(y, R), lo, hi)
-    want = _golden_min(lambda x: _bound_factored(R, x, y), lo, hi)
+    want = golden_min(lambda x: _bound_factored(R, x, y), lo, hi)
     assert got == want, (R, y, lo, hi, got, want)
+
+
+def optimizer_u_range(R):
+    y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
+    return math.log(1e-6), math.log(y_hi - 1.0)
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 10, 100, 10**4, 10**6, 10**9, 10**12, 10**15])
+def test_inner_min_estimate_is_within_a_hundredth_of_the_margin(R):
+    x_span = 20.0 * math.log(R + 2.0)
+    u_lo, u_hi = optimizer_u_range(R)
+    finite = 0
+    for k in range(200):
+        y = 1.0 + math.exp(u_lo + (u_hi - u_lo) * k / 199)
+        floor_x, rp = R * math.log(y), _ratio_pow(y, R)
+        _, value = _golden_min_x(floor_x, rp, floor_x + 1e-9, floor_x + x_span)
+        estimate = _inner_min_estimate(floor_x, rp, x_span)
+        if rp == math.inf:
+            assert value == estimate == math.inf, (R, y)
+        elif estimate is not None:
+            assert rel_err(value, estimate) <= _DECIDE_MARGIN / 100, (R, y, value, estimate)
+            finite += 1
+    assert finite >= 40  # not vacuous: 46 to 200 points at these R
+
+
+def test_inner_min_estimate_stays_within_a_tenth_of_the_margin_at_every_scale():
+    # from R near 10^10 the inner search stops within a few steps, once its
+    # bracket is under 1e-10 of (a + b), so its value may lie up to about
+    # 2e-10 above the optimum (6.4e-11 seen at R = 10^11); two such gaps
+    # must stay under the margin for every decision to be right
+    worst = 0.0
+    for R in sorted({int(10 ** (k / 4)) for k in range(73)}):
+        x_span = 20.0 * math.log(R + 2.0)
+        u_lo, u_hi = optimizer_u_range(R)
+        for k in range(50):
+            y = 1.0 + math.exp(u_lo + (u_hi - u_lo) * k / 49)
+            floor_x, rp = R * math.log(y), _ratio_pow(y, R)
+            estimate = _inner_min_estimate(floor_x, rp, x_span)
+            if estimate is not None and estimate < math.inf:
+                _, value = _golden_min_x(floor_x, rp, floor_x + 1e-9, floor_x + x_span)
+                worst = max(worst, rel_err(value, estimate))
+    assert 1e-11 < worst <= _DECIDE_MARGIN / 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    R=st.one_of(st.integers(1, 10**6), st.integers(2**53, 2**62)),
+    # a sub-bracket of the optimizer's u range, as fractions of it; 0 and 1
+    # are its ends, so some brackets share one end with the range
+    ends=st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                   st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
+)
+@example(R=1000, ends=(0.0, 0.5))  # the power is inf at every point
+@example(R=200, ends=(0.0, 1.0))
+@example(R=2**60, ends=(0.0, 1.0))  # no finite value anywhere
+def test_golden_min_y_equals_the_plain_search(R, ends):
+    u_lo, u_hi = optimizer_u_range(R)
+    lo, hi = (u_hi if t == 1.0 else u_lo + (u_hi - u_lo) * t for t in sorted(ends))
+    assert _golden_min_y(R, lo, hi) == reference_golden_min_y(R, lo, hi), (R, lo, hi)
+
+
+@pytest.mark.parametrize("R", [6, 200, 1000])
+def test_optimizer_runs_at_most_120_inner_searches(R, monkeypatch):
+    # the plain search runs 205 to 207 at these R
+    calls = []
+    inner = bounds._golden_min_x
+    monkeypatch.setattr(bounds, "_golden_min_x", lambda *args: calls.append(args) or inner(*args))
+    optimize_parametric_bound(R)
+    assert 0 < len(calls) <= 120
 
 
 def test_optimizer_rejects_bad_R():
