@@ -26,12 +26,14 @@ stopping at each budget checkpoint on the way.
 While the incumbent is fixed, the nodes of a subtree do not depend on the
 order in which they are visited; only a node that completes the cover,
 which improves the incumbent or proves feasibility, does. So each call of
-the search first counts its whole subtree with numpy, a level at a time
-(:func:`_subtree_nodes`), and if no node in it completes the cover adds the
-count to ``nodes`` in bulk, through the same budget checkpoints. Otherwise,
-or past a cap on nodes or memory, it runs its loop, and each child makes
-its own attempt; counts that gave up take at most half the search's time.
-The tree, its visit order, ``nodes`` and every output are the loop's alone.
+the search first counts its whole subtree with numpy
+(:func:`qcover._subtree._subtree_nodes`, which settles most of its last
+level by a radius-2R test), and if no node in it completes the cover adds
+the count to ``nodes`` in bulk, through the same budget checkpoints.
+Otherwise, or past a cap on nodes or memory, it runs its loop, and each
+child makes its own attempt; counts that gave up take at most half the
+search's time. The tree, its visit order, ``nodes`` and every output are
+the loop's alone.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ._subtree import _far_columns, _subtree_nodes
 from .codes import Code, code_to_dict, density, density_to_dict
 from .errors import SpaceTooLargeError
 from .hamming import HammingSpace, ball_volume, check_radius, expand_within_radius
@@ -56,11 +59,6 @@ EXACT_SOLVER_GUARD = 1 << 12
 #: Greedy full-space ball covers get their own, tighter guard: the ball
 #: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
 GREEDY_COVER_GUARD = 1 << 14
-
-#: A subtree count gives up past this many nodes, so that budgets are read
-#: soon, or this many uint64 words of pending children, so that a deep tree
-#: holds little memory; the subtree is then visited child by child.
-_COUNT_NODES, _COUNT_WORDS = 1 << 19, 1 << 18
 
 
 @dataclass(frozen=True)
@@ -127,70 +125,9 @@ def _ball_words(balls: np.ndarray) -> np.ndarray:
     return words
 
 
-def _ball_masks(space: HammingSpace, radius: int) -> List[int]:
-    """Bitmask over word indices of the radius-``radius`` ball of every word."""
-    return [int.from_bytes(row.tobytes(), "little") for row in _ball_rows(space, radius)]
-
-
-def _subtree_nodes(balls: np.ndarray, words: np.ndarray, covered: int, k: int,
-                   min_excl: int) -> Optional[int]:
-    """Nodes in the search below ``covered`` for k more codewords above ``min_excl``.
-
-    ``balls`` holds the ball rows of :func:`_ball_rows` as (W, q^n) columns
-    and ``words`` each ball's words, ascending. The search branches on the
-    lowest uncovered word; a child passes when at most k - 1 more balls
-    could cover the rest, and is searched with k - 1. Returns None when some
-    node completes the cover, where the visit order decides the outcome, or
-    past ``_COUNT_NODES`` nodes or ``_COUNT_WORDS`` pending words; otherwise
-    no order can change the count. Covered sets are searched a level at a
-    time, in steps of 2^13 words of children, or of 128 rows of V*W words
-    where those fit in ``_COUNT_WORDS``.
-    """
-    width, m = balls.shape
-    v_ball = words.shape[1]
-    vw = v_ball * width
-    rows = max((1 << 13) // vw, 128 if 128 * vw <= _COUNT_WORDS else 1)
-    start = np.frombuffer(covered.to_bytes(8 * width, "little"), dtype="<u8")[:, None]
-    stack = [(start, k)]
-    count, held = 0, start.size  # nodes counted; words in the pending blocks
-    while stack:
-        cov, k = stack.pop()
-        held -= cov.size
-        if cov.shape[1] > rows:
-            stack.append((cov[:, rows:], k))
-            held += stack[-1][0].size
-            cov = cov[:, :rows]
-        # trailing ones of each word; the lowest uncovered word lies in the
-        # first word that is not full
-        ones = np.bitwise_count(cov & ~(cov + np.uint64(1)))
-        low = ones[0]
-        if width > 1:
-            at = (ones < 64).argmax(axis=0)
-            low = at * 64 + ones.ravel()[at * len(low) + np.arange(len(low))]
-        cands = words[low]
-        count += cands.size
-        if min_excl >= 0:
-            skip = cands <= min_excl
-            count -= int(np.count_nonzero(skip))
-        if count > _COUNT_NODES:
-            return None
-        child = np.take(balls, cands, axis=1)
-        child |= cov[:, :, None]
-        got = np.bitwise_count(child)
-        got = got[0] if width == 1 else got.sum(axis=0, dtype=np.min_scalar_type(m))
-        if min_excl >= 0:
-            got[skip] = 0
-        top = got.max()
-        if top == m:
-            return None
-        need = max(m - (k - 1) * v_ball, 1)  # skipped children, at 0, never pass
-        if top >= need:
-            child = np.compress((got >= need).ravel(), child.reshape(width, -1), axis=1)
-            stack.append((child, k - 1))
-            held += child.size
-            if held > _COUNT_WORDS:
-                return None
-    return count
+def _ball_masks(balls: np.ndarray) -> List[int]:
+    """Each ball of :func:`_ball_rows` as a bitmask over word indices."""
+    return [int.from_bytes(row.tobytes(), "little") for row in balls]
 
 
 def _first_completing(masks: List[int], uncovered: int, cands: List[int], lo: int) -> Optional[int]:
@@ -243,7 +180,8 @@ def greedy_ball_cover(space: HammingSpace, radius: int) -> Code:
     """
     space.check_enumerable(GREEDY_COVER_GUARD)
     v_ball = ball_volume(space, radius)
-    chosen = _greedy_cover(_ball_masks(space, radius), (1 << space.size) - 1, v_ball)
+    masks = _ball_masks(_ball_rows(space, radius))
+    chosen = _greedy_cover(masks, (1 << space.size) - 1, v_ball)
     return Code(space, np.sort(chosen))
 
 
@@ -295,8 +233,9 @@ def minimal_covering_code(
         return finish(list(range(m)), "optimal", True, 0)
 
     balls = _ball_rows(space, radius)
-    masks = [int.from_bytes(row.tobytes(), "little") for row in balls]
+    masks = _ball_masks(balls)
     words = _ball_words(balls)
+    far = _far_columns(space, balls, radius) if 2 * radius < space.n else None
     balls = np.ascontiguousarray(balls.T)  # the columns _subtree_nodes reads
     full = (1 << m) - 1
     deadline = None if time_budget is None else start + time_budget
@@ -346,7 +285,7 @@ def minimal_covering_code(
         now = time.perf_counter()
         if 2 * gave_up_s > now - searching:
             return None
-        count = _subtree_nodes(balls, words, covered, k, min_excl)
+        count = _subtree_nodes(balls, words, far, covered, k, min_excl)
         if count is None:
             gave_up_s += time.perf_counter() - now
         return count

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from qcover import (
     verify_covering,
 )
 
-import qcover.solver as solver_mod
-from qcover.solver import _ball_masks, _ball_rows, _ball_words, _first_completing, _subtree_nodes
+import qcover._subtree as subtree_mod
+from qcover._subtree import _far_columns, _subtree_nodes
+from qcover.solver import _ball_masks, _ball_rows, _ball_words, _first_completing
 
 from oracles import (
     ball_masks,
+    brute_distance,
     naive_lex_min_code,
     naive_minimal_size,
     reference_from_words,
@@ -146,10 +149,14 @@ def test_deadline_read_inside_a_bulk_counted_level(monkeypatch):
 
 @lru_cache(maxsize=16)
 def _cached_tables(q, n, radius):
-    """The solver's ball tables: big-int masks, (W, q^n) columns and ball words."""
-    rows = _ball_rows(HammingSpace(q, n), radius)
-    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    return masks, np.ascontiguousarray(rows.T), _ball_words(rows)
+    """The solver's ball tables: big-int masks, then what :func:`_subtree_nodes`
+    reads: (W, q^n) ball columns, ball words and the beyond-2R columns, as the
+    solver builds them (None where 2R >= n)."""
+    space = HammingSpace(q, n)
+    rows = _ball_rows(space, radius)
+    masks = _ball_masks(rows)
+    far = _far_columns(space, rows, radius) if 2 * radius < n else None
+    return masks, (np.ascontiguousarray(rows.T), _ball_words(rows), far)
 
 
 def _bits(mask):
@@ -186,7 +193,8 @@ def _subtrees(draw):
     q = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.sampled_from(range(1, {2: 13, 3: 6, 4: 5}[q])))  # up to 64 64-bit words
     radius = draw(st.integers(0, n))
-    masks, columns, words = _cached_tables(q, n, radius)
+    masks, tables = _cached_tables(q, n, radius)
+    words = tables[1]
     m = q**n
     full = (1 << m) - 1
     # a covered prefix, which puts the lowest uncovered word past the first
@@ -201,14 +209,14 @@ def _subtrees(draw):
     while k > 1 and len(words[0]) ** k > 20000:
         k -= 1
     min_excl = draw(st.one_of(st.just(-1), st.integers(0, m - 1)))
-    return masks, columns, words, covered, k, min_excl
+    return masks, tables, covered, k, min_excl
 
 
 @settings(max_examples=600, deadline=None)
 @given(case=_subtrees())
 def test_subtree_nodes_match_per_node_recursion(case):
-    masks, columns, words, covered, k, min_excl = case
-    got = _subtree_nodes(columns, words, covered, k, min_excl)
+    masks, tables, covered, k, min_excl = case
+    got = _subtree_nodes(*tables, covered, k, min_excl)
     assert got == reference_subtree_nodes(masks, covered, k, min_excl)
     assert got is None or type(got) is int  # nodes lands in the solve JSON
 
@@ -216,34 +224,34 @@ def test_subtree_nodes_match_per_node_recursion(case):
 def test_subtree_nodes_give_up_past_the_cap(monkeypatch):
     # K_2(6,1) = 12, so ten more codewords never complete a cover through the
     # zero word: the count is exact, and larger than the node cap
-    masks, columns, words = _cached_tables(2, 6, 1)
+    masks, tables = _cached_tables(2, 6, 1)
     want = reference_subtree_nodes(masks, masks[0], 10, 4)
-    assert want > solver_mod._COUNT_NODES
-    assert _subtree_nodes(columns, words, masks[0], 10, 4) is None
-    monkeypatch.setattr(solver_mod, "_COUNT_NODES", want)
-    assert _subtree_nodes(columns, words, masks[0], 10, 4) == want
+    assert want > subtree_mod._COUNT_NODES
+    assert _subtree_nodes(*tables, masks[0], 10, 4) is None
+    monkeypatch.setattr(subtree_mod, "_COUNT_NODES", want)
+    assert _subtree_nodes(*tables, masks[0], 10, 4) == want
 
 
-def _count_peak(columns, words, covered, k, min_excl):
+def _count_peak(tables, covered, k, min_excl):
     """The count of :func:`_subtree_nodes` and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        got = _subtree_nodes(columns, words, covered, k, min_excl)
+        got = _subtree_nodes(*tables, covered, k, min_excl)
         return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 #: the words cap, and the last step
-_COUNT_PEAK_BOUND = 8 * solver_mod._COUNT_WORDS + (2 << 20)
+_COUNT_PEAK_BOUND = 8 * subtree_mod._COUNT_WORDS + (2 << 20)
 
 
 def test_subtree_nodes_hold_little_memory_on_deep_trees():
     # 200 more codewords on [2]^10 leave so much slack that a smaller cover
     # lies deep below nearly every node; the count gives up once its pending
     # children pass the cap in words, instead of holding a block per level
-    masks, columns, words = _cached_tables(2, 10, 1)
-    got, peak = _count_peak(columns, words, masks[0], 200, -1)
+    masks, tables = _cached_tables(2, 10, 1)
+    got, peak = _count_peak(tables, masks[0], 200, -1)
     assert got is None
     assert peak < _COUNT_PEAK_BOUND
 
@@ -252,10 +260,119 @@ def test_subtree_nodes_steps_stay_within_the_words_cap_on_big_balls():
     # V = 386 and W = 16 on [2]^10 at radius 4: 128 rows of children would
     # be 790k words, so a step keeps to 2^13 words; 256 of the zero word's
     # 386 children pass, and make one block of the second level
-    masks, columns, words = _cached_tables(2, 10, 4)
-    got, peak = _count_peak(columns, words, masks[0], 2, -1)
+    masks, tables = _cached_tables(2, 10, 4)
+    got, peak = _count_peak(tables, masks[0], 2, -1)
     assert got == reference_subtree_nodes(masks, masks[0], 2, -1)
     assert peak < _COUNT_PEAK_BOUND
+
+
+def test_set_up_memory_at_k2_12_5():
+    # V = 1586 on [2]^12: the ball words take 12.4 MiB, against 2 MiB for
+    # each table of (q^n)^2 bits (the ball rows, their big-int masks and the
+    # words beyond 2R). The peak comes while the words are unpacked, next to
+    # the rows and masks; the beyond-2R table and its kernel steps follow,
+    # under that peak, and built first they would add 2 MiB to it.
+    m, v_ball = 1 << 12, 1586
+    tracemalloc.start()
+    try:
+        res = minimal_covering_code(HammingSpace(2, 12), 5, node_budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nodes == 2001
+    assert peak < 2 * m * v_ball + 6 * m * m // 8
+
+
+@pytest.mark.parametrize("q,n,radius", [
+    (q, n, radius)
+    for q in (2, 3, 4, 5) for n in range(9) if q**n <= 256 for radius in range(n + 2)])
+def test_far_columns_match_brute_force(q, n, radius):
+    # bits at or above q^n must stay clear: [3]^4 fills 17 bits of its
+    # second word, and a set bit there would read as an uncovered word
+    space = HammingSpace(q, n)
+    far = _far_columns(space, _ball_rows(space, radius), radius)
+    words = list(product(range(q), repeat=n))
+    assert far.shape == ((q**n + 63) // 64, q**n)
+    for w, word in enumerate(words):
+        want = sum(1 << v for v, other in enumerate(words)
+                   if brute_distance(word, other) > 2 * radius)
+        assert int.from_bytes(far[:, w].tobytes(), "little") == want, w
+
+
+def _last_level(q, n, radius, masks, covered, min_excl):
+    """The last level below ``covered`` with two codewords to go.
+
+    Returns one (every uncovered word within 2R of the lowest, some child
+    completes the cover) pair per covered set on that level, by brute
+    force, and whether a child of ``covered`` itself completes the cover.
+    """
+    words = list(product(range(q), repeat=n))
+    m = q**n
+    full = (1 << m) - 1
+    low = _bits(full & ~covered)[0]
+    rows, first = [], False
+    for c in _bits(masks[low]):
+        row = covered | masks[c]
+        if c <= min_excl or row.bit_count() < m - masks[0].bit_count():
+            continue
+        first |= row == full
+        if row != full:
+            holes = _bits(full & ~row)
+            near = all(brute_distance(words[holes[0]], words[u]) <= 2 * radius for u in holes)
+            done = any(row | masks[d] == full for d in _bits(masks[holes[0]]) if d > min_excl)
+            rows.append((near, done))
+    return rows, first
+
+
+# (q, n, R, kind, words, min_excl, a last-level child completes the cover).
+# The K_2(7,2) sets are unions of balls, the first from a search, the second the
+# canonical optimum without its codewords 15 and 123. On [3]^4 the uncovered
+# words are the ball of 0001 and the words named: 1111, 1122 and 2211 lie
+# within 2R = 2 of 1111 but no ball holds all three, while 1111 and 1122
+# share the ball of 1112. [2]^10 at radius 3 (V*W = 2816) builds children
+# for two covered sets per step, and the sets that complete the cover come
+# after the first step: the greedy cover without its words 6 and 140.
+def _ternary(*digits):
+    return int("".join(map(str, digits)), 3)
+
+
+_LAST_LEVEL_CASES = [
+    (2, 7, 2, "balls", [25, 69, 126], -1, False),
+    (2, 7, 2, "balls", [25, 69, 126], 16, False),
+    (2, 7, 2, "balls", [0, 1, 2, 119, 124], -1, True),
+    (2, 7, 2, "balls", [0, 1, 2, 119, 124], 14, True),
+    (3, 4, 1, "holes", [_ternary(1, 1, 1, 1), _ternary(1, 1, 2, 2), _ternary(2, 2, 1, 1)],
+     -1, False),
+    (3, 4, 1, "holes", [_ternary(1, 1, 1, 1), _ternary(1, 1, 2, 2), _ternary(2, 2, 1, 1)],
+     0, False),
+    (3, 4, 1, "holes", [_ternary(1, 1, 1, 1), _ternary(1, 1, 2, 2)], -1, True),
+    (3, 4, 1, "holes", [_ternary(1, 1, 1, 1), _ternary(1, 1, 2, 2)], 0, True),
+    (2, 10, 3, "balls", [0, 9, 118, 127, 139, 241, 243, 773, 890, 899, 1020], -1, True),
+    (2, 10, 3, "balls", [0, 9, 118, 127, 139, 241, 243, 773, 890, 899, 1020], 5, True),
+]
+
+
+@pytest.mark.parametrize("q,n,radius,kind,words,min_excl,completes", _LAST_LEVEL_CASES)
+def test_subtree_nodes_settle_last_levels_by_distance(q, n, radius, kind, words, min_excl,
+                                                      completes):
+    # Two codewords to go, so the children of ``covered`` that pass the
+    # counting bound make one last-level block. Some of its rows keep every
+    # uncovered word within 2R of the lowest, so the distance test cannot
+    # clear them; where one of those has a completing child the count is None.
+    masks, tables = _cached_tables(q, n, radius)
+    if kind == "balls":  # covered: the balls of ``words``
+        covered = 0
+        for c in words:
+            covered |= masks[c]
+    else:  # uncovered: the ball of word 1, and ``words``
+        covered = ((1 << q**n) - 1) & ~masks[1] & ~sum(1 << w for w in words)
+    rows, first = _last_level(q, n, radius, masks, covered, min_excl)
+    assert not first and any(near for near, _ in rows)
+    assert any(near and done for near, done in rows) == completes
+    assert all(near for near, done in rows if done)  # the rule clears none of these
+    got = _subtree_nodes(*tables, covered, 2, min_excl)
+    assert got == reference_subtree_nodes(masks, covered, 2, min_excl)
+    assert (got is None) == completes
 
 
 def test_translation_preserves_covering():
@@ -313,7 +430,7 @@ def test_budget_exceeded_returns_covering_incumbent():
     (q, n, radius)
     for q in (2, 3, 4, 5) for n in range(5) if q**n <= 256 for radius in range(n + 2)])
 def test_ball_masks_match_brute_force(q, n, radius):
-    assert _ball_masks(HammingSpace(q, n), radius) == ball_masks(q, n, radius)[1]
+    assert _ball_masks(_ball_rows(HammingSpace(q, n), radius)) == ball_masks(q, n, radius)[1]
 
 
 def test_zero_time_budget_returns_covering_incumbent():
