@@ -25,11 +25,19 @@ of the inner search's values, so each comparison goes as with both searches
 run, and the outputs are those of the plain nested search. The public bounds
 raise InfeasibleParamsError when the value, or R, is past the double range;
 the optimizer's own evaluations saturate to inf instead.
+
+The bound table's rows are independent optimizations. Where fork() exists
+and at least two CPUs are available, bound_table_rows forks one helper
+process (qcover._forked) that computes rows from the top of the range down
+while the caller's process computes them from the bottom up. The rows are
+those of the serial loop either way, and a helper that fails only leaves
+more rows to the caller's process.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional
@@ -441,19 +449,36 @@ BOUND_TABLE_HEADER = (
 )
 
 
-def bound_table_rows(r_min: int, r_max: int) -> Iterator[tuple]:
-    """Yield one optimized-bound row per R; columns follow BOUND_TABLE_HEADER.
+#: a row after its R, as the helper process sends it
+_ROW = struct.Struct("8d")
 
-    Columns whose formula does not apply at small R hold nan.
+
+def _table_row(R: int) -> tuple:
+    opt = optimize_parametric_bound(R)
+    t = feasibility(BoundParams(R=R, x=opt.x, y=opt.y))
+    new = closed_form_bound(R) if R >= 6 else math.nan
+    ksv2 = classic_bound(2, R) if R >= 3 else math.nan
+    ksv3 = classic_bound(3, R) if R >= 3 else math.nan
+    ratio = new / ksv2 if R >= 6 else math.nan
+    return (R, t, opt.x, opt.y, opt.bound, new, ksv2, ksv3, ratio)
+
+
+def bound_table_rows(r_min: int, r_max: int) -> Iterator[tuple]:
+    """Yield one optimized-bound row per R, in ascending order; columns
+    follow BOUND_TABLE_HEADER.
+
+    Columns whose formula does not apply at small R hold nan. Rows are
+    computed by :func:`qcover._forked.forked_rows`: on a host with two CPUs,
+    a forked helper process computes them from r_max downward. The rows,
+    and any InfeasibleParamsError, are the serial ones.
     """
     if r_min < 1 or r_max < r_min:
         raise ValueError(f"requires 1 <= r_min <= r_max, got [{r_min}, {r_max}]")
     _require_double_R(r_max)
-    for R in range(r_min, r_max + 1):
-        opt = optimize_parametric_bound(R)
-        t = feasibility(BoundParams(R=R, x=opt.x, y=opt.y))
-        new = closed_form_bound(R) if R >= 6 else math.nan
-        ksv2 = classic_bound(2, R) if R >= 3 else math.nan
-        ksv3 = classic_bound(3, R) if R >= 3 else math.nan
-        ratio = new / ksv2 if R >= 6 else math.nan
-        yield (R, t, opt.x, opt.y, opt.bound, new, ksv2, ksv3, ratio)
+    # a wrapper put around the optimizer, such as a tracer that counts its
+    # calls, would see only this process's rows, so none is forked then
+    may_fork = optimize_parametric_bound.__module__ == __name__
+    # imported here, so that commands that never tabulate neither compile nor hold it
+    from ._forked import forked_rows
+
+    yield from forked_rows(_table_row, _ROW, r_min, r_max, may_fork)

@@ -1,13 +1,17 @@
 """Bound formulas, their identities, the chain audit, and the optimizer."""
 
 import math
+import os
 import random
+import signal
+import struct
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcover import bounds
+from qcover import _forked, bounds
 from qcover import (
     BoundParams,
     InfeasibleParamsError,
@@ -538,3 +542,166 @@ def test_bound_table_rows_schema():
     for row in rows:
         assert row[1] < 1.0  # optimized parameters stay feasible
         assert row[4] <= row[6] or math.isnan(row[6])  # bound_opt <= cor_ksv_q2
+
+
+# ---------------------------------------------------------------------------
+# bound table helper process
+# ---------------------------------------------------------------------------
+
+
+def _bits(rows):
+    """Each row as (R, the bytes of its 8 doubles): equal float for float, nan too."""
+    return [(row[0], struct.pack("8d", *row[1:])) for row in rows]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Offers the table two CPUs and records each helper it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    made = []
+    fork_helper = _forked._fork_helper
+
+    def recording(*args):
+        made.append(fork_helper(*args))
+        return made[-1]
+
+    monkeypatch.setattr(_forked, "_fork_helper", recording)
+    return made
+
+
+def _serial_rows(monkeypatch, r_min, r_max):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return list(bound_table_rows(r_min, r_max))
+
+
+def _table_until_error(r_min, r_max):
+    rows = []
+    with pytest.raises(InfeasibleParamsError) as error:
+        for row in bound_table_rows(r_min, r_max):
+            rows.append(row)
+    return rows, str(error.value)
+
+
+def test_table_rows_with_a_helper_equal_the_one_cpu_rows(monkeypatch, forks):
+    parent, computed = os.getpid(), []
+    table_row = bounds._table_row
+
+    def counting(R):
+        if os.getpid() == parent:
+            computed.append(R)
+        return table_row(R)
+
+    monkeypatch.setattr(bounds, "_table_row", counting)
+    rows = list(bound_table_rows(1, 300))
+    assert len(forks) == 1 and forks[0] is not None
+    assert len(computed) < 300  # the helper delivered the rest
+    _no_child_left()
+    assert [row[0] for row in rows] == list(range(1, 301))
+    assert _bits(rows) == _bits(_serial_rows(monkeypatch, 1, 300))
+    assert all(math.isnan(row[5]) for row in rows[:5]) and not math.isnan(rows[5][5])
+
+
+@pytest.mark.parametrize("min_s", [0.0, math.inf])
+def test_short_tables_on_both_sides_of_the_helper_start_rule(monkeypatch, forks, min_s):
+    monkeypatch.setattr(_forked, "HELPER_MIN_S", min_s)
+    ranges = [(1, 1), (1, 2), (5, 7), (6, 9), (40, 44)]
+    for r_min, r_max in ranges:
+        rows = list(bound_table_rows(r_min, r_max))
+        assert [row[0] for row in rows] == list(range(r_min, r_max + 1))
+        assert _bits(rows) == _bits(_serial_rows(monkeypatch, r_min, r_max))
+    # a helper starts once a row is left and the rule allows it
+    assert len(forks) == (4 if min_s == 0.0 else 0) and None not in forks
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raise at once", "raise after 3 rows", "stall"])
+def test_a_failing_helper_leaves_the_serial_rows(monkeypatch, forks, fault):
+    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
+    parent, calls = os.getpid(), []
+    outer = bounds._golden_min_y
+
+    def failing(*args):
+        if os.getpid() != parent:
+            calls.append(args)
+            if fault == "stall":
+                time.sleep(60)
+            if len(calls) > (12 if fault == "raise after 3 rows" else 0):  # 4 searches a row
+                raise RuntimeError("helper fault")
+        return outer(*args)
+
+    monkeypatch.setattr(bounds, "_golden_min_y", failing)
+    start = time.monotonic()
+    rows = list(bound_table_rows(20, 60))
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1 and forks[0] is not None
+    _no_child_left()
+    assert _bits(rows) == _bits(_serial_rows(monkeypatch, 20, 60))
+
+
+@pytest.mark.parametrize("fault", [None, "raise at once"])
+def test_a_table_where_sigchld_is_ignored(monkeypatch, forks, fault):
+    # the kernel reaps the helper itself, so it may be gone before the kill
+    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
+    parent, outer = os.getpid(), bounds._golden_min_y
+
+    def failing(*args):
+        if fault and os.getpid() != parent:
+            raise RuntimeError("helper fault")
+        return outer(*args)
+
+    monkeypatch.setattr(bounds, "_golden_min_y", failing)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        rows = list(bound_table_rows(20, 60))
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert len(forks) == 1 and forks[0] is not None
+    _no_child_left()
+    assert _bits(rows) == _bits(_serial_rows(monkeypatch, 20, 60))
+
+
+def test_closing_the_table_early_leaves_no_child(monkeypatch, forks):
+    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
+    rows = bound_table_rows(1, 300)
+    assert next(rows)[0] == 1
+    assert len(forks) == 1 and forks[0] is not None
+    rows.close()
+    _no_child_left()
+
+
+def test_a_table_into_the_first_infinite_optimum_raises_as_serial(monkeypatch, forks, tmp_path, capsys):
+    from qcover.cli import main
+
+    def infinite(R):
+        try:
+            optimize_parametric_bound(R)
+        except InfeasibleParamsError:
+            return True
+        return False
+
+    lo, hi = 10**17, 2**59
+    assert not infinite(lo) and infinite(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if infinite(mid) else (mid, hi)
+    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
+    rows, error = _table_until_error(hi - 3, hi + 2)
+    assert len(forks) == 1 and forks[0] is not None
+    _no_child_left()
+    assert [row[0] for row in rows] == [hi - 3, hi - 2, hi - 1]
+    assert f"finite in doubles, got R={hi}" in error
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial_rows, serial_error = _table_until_error(hi - 3, hi + 2)
+    assert _bits(rows) == _bits(serial_rows) and error == serial_error
+    out = tmp_path / "table.csv"
+    argv = ["bounds", "table", "--R-min", str(hi - 3), "--R-max", str(hi + 2), "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists() and f"got R={hi}" in capsys.readouterr().err
+    _no_child_left()
