@@ -34,6 +34,12 @@ Otherwise, or past a cap on nodes or memory, it runs its loop, and each
 child makes its own attempt; counts that gave up take at most half the
 search's time. The tree, its visit order, ``nodes`` and every output are
 the loop's alone.
+
+The canonicalization pass knows one completion of the prefix it grows: at
+first the first pass's optimum without the zero word, then the words its
+last existence check found. Those words pass the counting bound at every
+level, so a count of a subtree that holds them would meet a completing node
+and give up; such counts are skipped.
 """
 
 from __future__ import annotations
@@ -342,19 +348,26 @@ def minimal_covering_code(
                 chosen.pop()
             need = m - (best_size - depth - 1) * v_ball
 
-    def feasible(covered: int, k: int, min_excl: int) -> bool:
-        """Can k more codewords above ``min_excl`` complete the cover?"""
+    def feasible(covered: int, k: int, min_excl: int,
+                 known: Optional[List[int]]) -> Optional[List[int]]:
+        """Up to k more codewords above ``min_excl`` that complete the cover, or None.
+
+        ``known``, where given, is such a completion, ascending. Its words
+        pass the counting bound at every level, so a count of this subtree
+        would meet a completing node and give up; it is skipped. A child in
+        ``known`` gets the rest of it.
+        """
         nonlocal nodes
-        count = count_subtree(covered, k, min_excl)
+        count = None if known else count_subtree(covered, k, min_excl)
         if count is not None:
             advance(nodes + count)
-            return False
+            return None
         cands = branch_words(covered)
         if k == 1:
             lo = bisect_right(cands, min_excl)
             i = _first_completing(masks, full ^ covered, cands, lo)
             advance(nodes + (len(cands) if i is None else i + 1) - lo)
-            return i is not None
+            return None if i is None else [cands[i]]
         need = m - (k - 1) * v_ball
         for c in cands:
             if c <= min_excl:
@@ -365,10 +378,13 @@ def minimal_covering_code(
             nc = covered | masks[c]
             got = nc.bit_count()
             if got == m:
-                return True
-            if got >= need and feasible(nc, k - 1, min_excl):
-                return True
-        return False
+                return [c]
+            if got >= need:
+                rest = [w for w in known if w != c] if known and c in known else None
+                found = feasible(nc, k - 1, min_excl, rest)
+                if found is not None:
+                    return [c] + found
+        return None
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, m + 1000))
@@ -390,6 +406,7 @@ def minimal_covering_code(
         target = best_size
         prefix = [0]
         covered = masks[0]
+        known = best[1:]  # greedy's first pick, and so every incumbent's, is word 0
         try:
             while covered != full:
                 remaining = target - len(prefix) - 1
@@ -403,9 +420,14 @@ def minimal_covering_code(
                     if nodes >= checkpoint:
                         check_budgets()
                     got = grown.bit_count()
-                    if got == m or (got >= need and feasible(grown, remaining, v)):
+                    if got < need:
+                        continue
+                    found = [] if got == m else feasible(
+                        grown, remaining, v, known[1:] if v == known[0] else None)
+                    if found is not None:
                         prefix.append(v)
                         covered = grown
+                        known = sorted(found)
                         appended = True
                         break
                 if not appended:  # cannot happen once optimality is proven

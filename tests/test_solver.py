@@ -24,6 +24,7 @@ from qcover import (
 )
 
 import qcover._subtree as subtree_mod
+import qcover.solver as solver_mod
 from qcover._subtree import _far_columns, _subtree_nodes
 from qcover.solver import _ball_masks, _ball_rows, _ball_words, _first_completing
 
@@ -258,12 +259,54 @@ def test_subtree_nodes_hold_little_memory_on_deep_trees():
 
 def test_subtree_nodes_steps_stay_within_the_words_cap_on_big_balls():
     # V = 386 and W = 16 on [2]^10 at radius 4: 128 rows of children would
-    # be 790k words, so a step keeps to 2^13 words; 256 of the zero word's
-    # 386 children pass, and make one block of the second level
-    masks, tables = _cached_tables(2, 10, 4)
-    got, peak = _count_peak(tables, masks[0], 2, -1)
-    assert got == reference_subtree_nodes(masks, masks[0], 2, -1)
-    assert peak < _COUNT_PEAK_BOUND
+    # be 790k words, so a step holds the 42 rows that fit in the words cap;
+    # 256 of the zero word's 386 children pass, and make one block of the
+    # second level. V = 299 and W = 64 on [2]^12 at radius 3: a step holds
+    # 13 rows, 249k words. Where the zero word's ball and word 15 are left
+    # uncovered and the zero word is excluded, its 298 neighbours make 298
+    # last-level sets, whose children take 23 such steps; each step's
+    # children are freed before the next step's are built.
+    for q, n, radius, min_excl in [(2, 10, 4, -1), (2, 12, 3, 0)]:
+        masks, tables = _cached_tables(q, n, radius)
+        covered = masks[0]
+        if min_excl == 0:  # every word but the zero word's ball and word 15
+            covered = ((1 << q**n) - 1) & ~masks[0] & ~(1 << 15)
+        got, peak = _count_peak(tables, covered, 2, min_excl)
+        assert got == reference_subtree_nodes(masks, covered, 2, min_excl), n
+        assert peak < _COUNT_PEAK_BOUND, n
+
+
+def test_subtree_nodes_read_the_words_past_a_full_prefix():
+    # Words below the lowest uncovered one fill whole uint64 words of every
+    # covered set in the subtree, and the count leaves them out. [7]^3 has
+    # 343 words in six uint64 words: a covered prefix of 320 words leaves
+    # one, whose words lie past 255.
+    masks, tables = _cached_tables(7, 3, 1)
+    for prefix in (64, 256, 303, 320):
+        for k in (1, 2, 3):
+            for min_excl in (-1, prefix - 5, prefix + 3):
+                covered = (1 << prefix) - 1
+                got = _subtree_nodes(*tables, covered, k, min_excl)
+                assert got == reference_subtree_nodes(masks, covered, k, min_excl), (prefix, k)
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 5, 1), (2, 6, 1), (2, 7, 2)])
+def test_canonical_pass_counts_no_subtree_holding_a_known_completion(monkeypatch, q, n, radius):
+    # The canonicalization pass (min_excl >= 0) knows one completion of each
+    # prefix and skips the counts of subtrees that hold it, which would meet
+    # a completing node and give up; on these spaces no count gives up
+    gave_up = []
+
+    def record(*args):
+        got = _subtree_nodes(*args)
+        gave_up.append(got is None and args[-1] >= 0)
+        return got
+
+    monkeypatch.setattr(solver_mod, "_subtree_nodes", record)
+    sp = HammingSpace(q, n)
+    res = minimal_covering_code(sp, radius)
+    assert gave_up and not any(gave_up)
+    assert res.to_json_dict() == reference_minimal_covering_code(sp, radius).to_json_dict()
 
 
 def test_set_up_memory_at_k2_12_5():
