@@ -13,33 +13,45 @@ codeword onto the zero word without changing its size, so an optimum
 through the zero word always exists. A second pass canonicalizes the
 answer to the lexicographically smallest optimal code.
 
+Both passes run one search, a loop over an explicit stack of frames. A
+frame holds a covered set and an iterator over its candidate codewords;
+the codewords chosen down to the top frame are one list, and a size limit
+bounds how many more a frame may add. The search starts from one frame
+with one candidate. The first pass starts it at the zero word, with the
+limit one below the greedy incumbent; each cover it finds becomes the
+incumbent, the limit drops one below its size, and the search goes on.
+The canonicalization pass grows its code a word at a time, and for each
+candidate word asks the search for the first cover of the optimal size
+through it.
+
 A node is one candidate codeword tried, in either pass, whether it is then
 pruned or branched on; the zero word at the root is the first. Because a
-node is a step of the search and not a function call, ``nodes`` depends
-only on the search tree and its visit order. Each child is counted and
-tested against the counting bound in its parent's loop, so the pruned
-leaves cost no call. On the last level a child passes only if it completes
-the cover; there one lookup (:func:`_first_completing`) finds that child,
-and ``nodes`` still counts every candidate the loop would have tried,
+node is a step of the search and not a frame, ``nodes`` depends only on
+the search tree and its visit order. Each child is counted and tested
+against the counting bound in its parent's loop, so the pruned leaves
+push no frame. On the last level a child passes only if it completes the
+cover; there one lookup (:func:`_first_completing`) finds that child, and
+``nodes`` still counts every candidate the loop would have tried,
 stopping at each budget checkpoint on the way.
 
 While the incumbent is fixed, the nodes of a subtree do not depend on the
 order in which they are visited; only a node that completes the cover,
-which improves the incumbent or proves feasibility, does. So each call of
-the search first counts its whole subtree with numpy
-(:func:`qcover._subtree._subtree_nodes`, which settles most of its last
-level by a radius-2R test), and if no node in it completes the cover adds
-the count to ``nodes`` in bulk, through the same budget checkpoints.
-Otherwise, or past a cap on nodes or memory, it runs its loop, and each
-child makes its own attempt; counts that gave up take at most half the
-search's time. The tree, its visit order, ``nodes`` and every output are
-the loop's alone.
+which improves the incumbent or proves feasibility, does. So a child that
+passes, before it becomes a frame, has its whole subtree counted with
+numpy (:func:`qcover._subtree._subtree_nodes`, which settles most of its
+last level by a radius-2R test), and if no node in it completes the cover
+the count goes to ``nodes`` in bulk, through the same budget checkpoints.
+Otherwise, or past a cap on nodes or memory, a child with one codeword
+to go takes the lookup, and any other becomes a frame whose children
+make their own attempts; counts that gave up take at most half the
+search's time. The tree, its visit order, ``nodes``
+and every output are the loop's alone.
 
 The canonicalization pass knows one completion of the prefix it grows: at
-first the first pass's optimum without the zero word, then the words its
-last existence check found. Those words pass the counting bound at every
-level, so a count of a subtree that holds them would meet a completing node
-and give up; such counts are skipped.
+first the first pass's optimum, then the cover its last search found,
+each without the prefix. Those words pass the counting bound at every level, so a count of a subtree that
+holds them would meet a completing node and give up; such counts are
+skipped.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -250,7 +262,6 @@ def minimal_covering_code(
     # the set-up above grows as m^2 bits; a deadline it used up ends the run
     if deadline is not None and time.monotonic() > deadline:
         return finish(best, "budget_exceeded", False, 0)
-    best_size = len(best)
     nodes = 0
     # Budgets are checked when ``nodes`` reaches ``checkpoint``: one past the
     # node budget, or the next multiple of 256 while a deadline is set.
@@ -307,134 +318,98 @@ def minimal_covering_code(
 
     # A child c is counted and tested in its parent's loop. With
     # nc = covered | masks[c], the child passes the counting bound
-    # size + ceil(uncovered / V) < best_size exactly when nc.bit_count()
-    # reaches ``need``; only passing children that leave words uncovered
-    # are recursed into. Where ``need`` is m, only a child that completes the
-    # cover passes, and the whole level is resolved by one lookup.
-    chosen = [0]
+    # size + ceil(uncovered / V) <= limit exactly when nc.bit_count()
+    # reaches ``need``. A passing child that leaves words uncovered has its
+    # subtree counted in bulk; where the count gives up, a child with one
+    # codeword to go is resolved by one lookup, and any other becomes a
+    # frame of its own.
 
-    def dfs(covered: int) -> None:
-        nonlocal nodes, best_size, best
-        depth = len(chosen) + 1  # the children's code size
-        count = count_subtree(covered, best_size - depth, -1)
-        if count is not None:
-            advance(nodes + count)
-            return
-        cands = branch_words(covered)
-        if best_size == depth + 1:
-            base = nodes
-            i = _first_completing(masks, full ^ covered, cands, 0)
-            if i is not None:
-                advance(base + i + 1)
-                best_size = depth
-                best = sorted(chosen + [cands[i]])
-            advance(base + len(cands))
-            return
-        need = m - (best_size - depth - 1) * v_ball
-        for c in cands:
-            nodes += 1
-            if nodes >= checkpoint:
-                check_budgets()
-            nc = covered | masks[c]
-            got = nc.bit_count()
-            if got < need:
-                continue
-            if got == m:  # a cover smaller than the incumbent
-                best_size = depth
-                best = sorted(chosen + [c])
-            else:
-                chosen.append(c)
-                dfs(nc)
-                chosen.pop()
-            need = m - (best_size - depth - 1) * v_ball
+    def completions(chosen: List[int], covered: int, limit: int, min_excl: int,
+                    known: Optional[List[int]], first: int) -> Iterator[List[int]]:
+        """Yield each cover of at most ``limit`` words through ``chosen`` and ``first``.
 
-    def feasible(covered: int, k: int, min_excl: int,
-                 known: Optional[List[int]]) -> Optional[List[int]]:
-        """Up to k more codewords above ``min_excl`` that complete the cover, or None.
-
-        ``known``, where given, is such a completion, ascending. Its words
-        pass the counting bound at every level, so a count of this subtree
-        would meet a completing node and give up; it is skipped. A child in
-        ``known`` gets the rest of it.
+        ``covered`` is what ``chosen`` covers, and the codewords after
+        ``first`` lie above ``min_excl``. The covers come in visit order;
+        after one of size s the search goes on with the limit s - 1.
+        ``known``, where given, is a completion of ``chosen``, ascending.
+        Its words pass the counting bound at every level, so a count of a
+        subtree that holds them would meet a completing node and give up:
+        a child in ``known`` skips its count and gets the rest of it.
         """
         nonlocal nodes
-        count = None if known else count_subtree(covered, k, min_excl)
-        if count is not None:
-            advance(nodes + count)
-            return None
-        cands = branch_words(covered)
-        if k == 1:
-            lo = bisect_right(cands, min_excl)
-            i = _first_completing(masks, full ^ covered, cands, lo)
-            advance(nodes + (len(cands) if i is None else i + 1) - lo)
-            return None if i is None else [cands[i]]
-        need = m - (k - 1) * v_ball
-        for c in cands:
-            if c <= min_excl:
-                continue
-            nodes += 1
-            if nodes >= checkpoint:
-                check_budgets()
-            nc = covered | masks[c]
-            got = nc.bit_count()
-            if got == m:
-                return [c]
-            if got >= need:
-                rest = [w for w in known if w != c] if known and c in known else None
-                found = feasible(nc, k - 1, min_excl, rest)
-                if found is not None:
-                    return [c] + found
-        return None
+        chosen = list(chosen)
+        stack = [(covered, known, iter((first,)))]
+        while stack:
+            covered, known, rest = stack[-1]
+            k = limit - len(chosen)  # codewords the frame may still add
+            need = m - (k - 1) * v_ball
+            for c in rest:
+                nodes += 1
+                if nodes >= checkpoint:
+                    check_budgets()
+                nc = covered | masks[c]
+                got = nc.bit_count()
+                if got < need:
+                    continue
+                if got == m:  # a cover of at most limit words
+                    yield chosen + [c]
+                    limit = len(chosen)
+                    need = m + 1  # no sibling can beat it
+                    continue
+                below = [w for w in known if w != c] if known and c in known else None
+                count = None if below else count_subtree(nc, k - 1, min_excl)
+                if count is not None:
+                    advance(nodes + count)
+                    continue
+                cands = branch_words(nc)
+                lo = bisect_right(cands, min_excl)
+                if k > 2:
+                    chosen.append(c)
+                    stack.append((nc, below, iter(cands[lo:])))
+                    break
+                base = nodes - lo  # one codeword to go: one lookup
+                i = _first_completing(masks, full ^ nc, cands, lo)
+                if i is not None:
+                    advance(base + i + 1)
+                    yield chosen + [c, cands[i]]
+                    limit = len(chosen) + 1
+                    need = m
+                advance(base + len(cands))
+            else:
+                stack.pop()
+                if stack:
+                    chosen.pop()
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, m + 1000))
     try:
-        try:
-            # the root, the zero word, is a node like any other
-            nodes += 1
-            if nodes >= checkpoint:
-                check_budgets()
-            if masks[0].bit_count() >= m - (best_size - 2) * v_ball:
-                dfs(masks[0])
-        except _BudgetHit:
-            return finish(best, "budget_exceeded", False, nodes)
+        # the root, the zero word, is a node like any other
+        for code in completions([], 0, len(best) - 1, -1, None, 0):
+            best = sorted(code)
+    except _BudgetHit:
+        return finish(best, "budget_exceeded", False, nodes)
 
-        # Canonicalization: grow the lexicographically smallest optimal code.
-        # The lex-min optimum starts with the zero word, because some optimum
-        # contains it and any code containing it sorts before any code that
-        # does not.
-        target = best_size
-        prefix = [0]
-        covered = masks[0]
-        known = best[1:]  # greedy's first pick, and so every incumbent's, is word 0
-        try:
-            while covered != full:
-                remaining = target - len(prefix) - 1
-                need = m - remaining * v_ball
-                appended = False
-                for v in range(prefix[-1] + 1, m):
-                    grown = covered | masks[v]
-                    if grown == covered:
-                        continue  # optimal codes have no redundant codeword
-                    nodes += 1
-                    if nodes >= checkpoint:
-                        check_budgets()
-                    got = grown.bit_count()
-                    if got < need:
-                        continue
-                    found = [] if got == m else feasible(
-                        grown, remaining, v, known[1:] if v == known[0] else None)
-                    if found is not None:
-                        prefix.append(v)
-                        covered = grown
-                        known = sorted(found)
-                        appended = True
-                        break
-                if not appended:  # cannot happen once optimality is proven
-                    raise RuntimeError("canonicalization found no extension")
-        except _BudgetHit:
-            return finish(best, "optimal", False, nodes)
-        return finish(prefix, "optimal", True, nodes)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
+    # Canonicalization: grow the lexicographically smallest optimal code.
+    # The lex-min optimum starts with the zero word, because some optimum
+    # contains it and any code containing it sorts before any code that
+    # does not. ``known`` is a completion of ``prefix``, ascending:
+    # greedy's first pick, and so every incumbent's, is word 0.
+    target = len(best)
+    prefix = [0]
+    covered = masks[0]
+    known = best[1:]
+    try:
+        while covered != full:
+            for v in range(prefix[-1] + 1, m):
+                grown = covered | masks[v]
+                if grown == covered:
+                    continue  # optimal codes have no redundant codeword
+                found = next(completions(prefix, covered, target, v, known, v), None)
+                if found is not None:
+                    prefix.append(v)
+                    covered = grown
+                    known = sorted(found[len(prefix):])
+                    break
+            else:  # cannot happen once optimality is proven
+                raise RuntimeError("canonicalization found no extension")
+    except _BudgetHit:
+        return finish(best, "optimal", False, nodes)
+    return finish(prefix, "optimal", True, nodes)

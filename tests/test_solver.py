@@ -309,6 +309,33 @@ def test_canonical_pass_counts_no_subtree_holding_a_known_completion(monkeypatch
     assert res.to_json_dict() == reference_minimal_covering_code(sp, radius).to_json_dict()
 
 
+@pytest.mark.parametrize("q,n,radius", [(2, 6, 1), (2, 7, 2)])
+def test_solve_leaves_the_recursion_limit_alone(monkeypatch, q, n, radius):
+    # the search keeps its frames on a stack of its own, so the caller's
+    # recursion limit holds throughout, counts and both passes included
+    limits = []
+
+    def record(*args):
+        limits.append(sys.getrecursionlimit())
+        return _subtree_nodes(*args)
+
+    monkeypatch.setattr(solver_mod, "_subtree_nodes", record)
+    caller = sys.getrecursionlimit()
+    assert minimal_covering_code(HammingSpace(q, n), radius).status == "optimal"
+    assert limits and set(limits) == {caller}
+
+
+@pytest.mark.parametrize("budget", [500, 2000])
+def test_deep_search_matches_reference_solver_node_for_node(budget):
+    # greedy gives 135 words on [2]^10 at radius 1, and by 2,000 nodes the
+    # search is 78 frames deep; the reference recurses once per node
+    sp = HammingSpace(2, 10)
+    got = minimal_covering_code(sp, 1, node_budget=budget)
+    want = reference_minimal_covering_code(sp, 1, node_budget=budget)
+    assert got.status == "budget_exceeded"
+    assert got.to_json_dict() == want.to_json_dict()
+
+
 def test_set_up_memory_at_k2_12_5():
     # V = 1586 on [2]^12: the ball words take 12.4 MiB, against 2 MiB for
     # each table of (q^n)^2 bits (the ball rows, their big-int masks and the
