@@ -30,9 +30,7 @@ node is a step of the search and not a frame, ``nodes`` depends only on
 the search tree and its visit order. Each child is counted and tested
 against the counting bound in its parent's loop, so the pruned leaves
 push no frame. On the last level a child passes only if it completes the
-cover; there one lookup (:func:`_first_completing`) finds that child, and
-``nodes`` still counts every candidate the loop would have tried,
-stopping at each budget checkpoint on the way.
+cover.
 
 While the incumbent is fixed, the nodes of a subtree do not depend on the
 order in which they are visited; only a node that completes the cover,
@@ -41,24 +39,23 @@ passes, before it becomes a frame, has its whole subtree counted with
 numpy (:func:`qcover._subtree._subtree_nodes`, which settles most of its
 last level by a radius-2R test), and if no node in it completes the cover
 the count goes to ``nodes`` in bulk, through the same budget checkpoints.
-Otherwise, or past a cap on nodes or memory, a child with one codeword
-to go takes the lookup, and any other becomes a frame whose children
-make their own attempts; counts that gave up take at most half the
-search's time. The tree, its visit order, ``nodes``
-and every output are the loop's alone.
+Otherwise, or past a cap on nodes or memory, the child becomes a frame
+and the loop tries its candidates one by one, the last level's too;
+counts that gave up take at most half the search's time. The tree, its
+visit order, ``nodes`` and every output are the loop's alone.
 
 The canonicalization pass knows one completion of the prefix it grows: at
 first the first pass's optimum, then the cover its last search found,
-each without the prefix. Those words pass the counting bound at every level, so a count of a subtree that
-holds them would meet a completing node and give up; such counts are
-skipped.
+each without the prefix. Those words pass the counting bound at every
+level, so a count of a subtree that holds them would meet a completing
+node and give up; such counts are skipped.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -146,28 +143,6 @@ def _ball_words(balls: np.ndarray) -> np.ndarray:
 def _ball_masks(balls: np.ndarray) -> List[int]:
     """Each ball of :func:`_ball_rows` as a bitmask over word indices."""
     return [int.from_bytes(row.tobytes(), "little") for row in balls]
-
-
-def _first_completing(masks: List[int], uncovered: int, cands: List[int], lo: int) -> Optional[int]:
-    """Index of the first of ``cands[lo:]`` whose ball holds every uncovered word.
-
-    ``cands`` lists, ascending, the ball of the lowest uncovered word. Balls
-    are symmetric, so a completing word lies in the ball of every uncovered
-    word; the balls of the lowest, highest and second-lowest narrow it down.
-    """
-    if lo == len(cands):
-        return None
-    low = uncovered & -uncovered
-    rest = (uncovered ^ low) or uncovered
-    hits = masks[low.bit_length() - 1] & masks[uncovered.bit_length() - 1]
-    hits &= masks[(rest & -rest).bit_length() - 1] & (-1 << cands[lo])
-    while hits:
-        bit = hits & -hits
-        c = bit.bit_length() - 1
-        if not uncovered & ~masks[c]:
-            return bisect_left(cands, c, lo)
-        hits ^= bit
-    return None
 
 
 def _greedy_cover(masks: List[int], full: int, v_ball: int) -> List[int]:
@@ -320,9 +295,9 @@ def minimal_covering_code(
     # nc = covered | masks[c], the child passes the counting bound
     # size + ceil(uncovered / V) <= limit exactly when nc.bit_count()
     # reaches ``need``. A passing child that leaves words uncovered has its
-    # subtree counted in bulk; where the count gives up, a child with one
-    # codeword to go is resolved by one lookup, and any other becomes a
-    # frame of its own.
+    # subtree counted in bulk; where the count is skipped or gives up, the
+    # child becomes a frame of its own, and the loop settles every node of
+    # it that no count settles.
 
     def completions(chosen: List[int], covered: int, limit: int, min_excl: int,
                     known: Optional[List[int]], first: int) -> Iterator[List[int]]:
@@ -362,19 +337,9 @@ def minimal_covering_code(
                     advance(nodes + count)
                     continue
                 cands = branch_words(nc)
-                lo = bisect_right(cands, min_excl)
-                if k > 2:
-                    chosen.append(c)
-                    stack.append((nc, below, iter(cands[lo:])))
-                    break
-                base = nodes - lo  # one codeword to go: one lookup
-                i = _first_completing(masks, full ^ nc, cands, lo)
-                if i is not None:
-                    advance(base + i + 1)
-                    yield chosen + [c, cands[i]]
-                    limit = len(chosen) + 1
-                    need = m
-                advance(base + len(cands))
+                chosen.append(c)
+                stack.append((nc, below, iter(cands[bisect_right(cands, min_excl):])))
+                break
             else:
                 stack.pop()
                 if stack:

@@ -26,7 +26,7 @@ from qcover import (
 import qcover._subtree as subtree_mod
 import qcover.solver as solver_mod
 from qcover._subtree import _far_columns, _subtree_nodes
-from qcover.solver import _ball_masks, _ball_rows, _ball_words, _first_completing
+from qcover.solver import _ball_masks, _ball_rows, _ball_words
 
 from oracles import (
     ball_masks,
@@ -111,10 +111,12 @@ def test_matches_reference_solver_node_for_node(q, n, radius):
         assert got.to_json_dict() == want.to_json_dict(), (q, n, radius, budget)
 
 
-@pytest.mark.parametrize("q,n,radius", [(2, 4, 1), (2, 5, 1), (3, 3, 1), (2, 5, 2)])
+@pytest.mark.parametrize("q,n,radius", [(2, 4, 1), (2, 5, 1), (3, 3, 1), (2, 5, 2), (3, 4, 1)])
 def test_every_node_budget_matches_reference_solver(q, n, radius):
-    # Most budgets stop inside a last level whose nodes are counted in bulk;
-    # each must leave the incumbent and node count of one call per node.
+    # Most budgets stop inside a last level, which a bulk count or the loop
+    # settles; each must leave the incumbent and node count of one call per
+    # node. (3, 4, 1) adds last levels that complete a cover, where a count
+    # gives up and the loop settles each node.
     sp = HammingSpace(q, n)
     for budget in range(minimal_covering_code(sp, radius).nodes + 1):
         got = minimal_covering_code(sp, radius, node_budget=budget)
@@ -122,30 +124,38 @@ def test_every_node_budget_matches_reference_solver(q, n, radius):
         assert got.to_json_dict() == want.to_json_dict(), budget
 
 
-def test_deadline_read_inside_a_bulk_counted_level(monkeypatch):
-    # The clock runs out at the first deadline read that falls inside one of
-    # dfs's bulk-counted last levels, past its first node but before the
-    # child that completes the cover: the level's new incumbent is not kept.
-    reads = []
+def _deadline_runs_out_at_every_read(monkeypatch, q, n, radius, reads):
+    # The clock passes the start and set-up reads, then runs out at deadline
+    # read j, which falls at node 256 j: a bulk count, a loop step or the
+    # canonicalization pass stops there and keeps what one call per node
+    # keeps with the node budget just below it.
+    sp = HammingSpace(q, n)
+    for j in reads:
+        calls = []
 
-    def clock():
-        frame = sys._getframe(1)
-        if frame.f_code.co_name == "check_budgets" and frame.f_back.f_code.co_name == "advance":
-            batch, level = frame.f_back.f_locals, frame.f_back.f_back.f_locals
-            i = level.get("i")
-            if i is not None and level["base"] + 1 < batch["nodes"] <= level["base"] + i + 1:
-                reads.append(batch["nodes"])
-        return 10.0 if reads else 0.0
+        def clock():
+            calls.append(None)
+            return 10.0 if len(calls) > j + 1 else 0.0
 
-    sp = HammingSpace(2, 7)
-    monkeypatch.setattr(time, "monotonic", clock)
-    res = minimal_covering_code(sp, 2, time_budget=1.0)
-    monkeypatch.undo()
-    assert res.status == "budget_exceeded" and res.nodes == reads[0]
-    assert res.nodes % 256 == 0
-    assert res.optimal_size > 7  # K_2(7,2) = 7 is found in a later level
-    want = reference_minimal_covering_code(sp, 2, node_budget=res.nodes - 1)
-    assert res.to_json_dict() == want.to_json_dict()
+        monkeypatch.setattr(time, "monotonic", clock)
+        res = minimal_covering_code(sp, radius, time_budget=1.0)
+        monkeypatch.undo()
+        assert res.nodes == 256 * j, (q, n, radius, j)
+        want = reference_minimal_covering_code(sp, radius, node_budget=res.nodes - 1)
+        assert res.to_json_dict() == want.to_json_dict(), (q, n, radius, j)
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 5, 1), (3, 3, 1), (2, 6, 2)])
+def test_deadline_at_every_read_matches_reference_solver(monkeypatch, q, n, radius):
+    nodes = minimal_covering_code(HammingSpace(q, n), radius).nodes
+    _deadline_runs_out_at_every_read(monkeypatch, q, n, radius, range(1, nodes // 256 + 1))
+
+
+def test_deadline_reads_across_an_incumbent_step(monkeypatch):
+    # Read 213, at node 54,528, falls inside the last level that completes
+    # the first 7-word cover, before that cover is kept; reads 200..229 span
+    # the first pass's step from an incumbent of 8 to 7.
+    _deadline_runs_out_at_every_read(monkeypatch, 2, 7, 2, range(200, 230))
 
 
 @lru_cache(maxsize=16)
@@ -162,31 +172,6 @@ def _cached_tables(q, n, radius):
 
 def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-@st.composite
-def _last_levels(draw):
-    q = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 6))
-    radius = draw(st.integers(0, n))
-    masks = _cached_tables(q, n, radius)[0]
-    m = q**n
-    # most of the uncovered words share a ball, so a completing word often exists
-    ball = _bits(masks[draw(st.integers(0, m - 1))])
-    words = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=8))
-    words += draw(st.lists(st.integers(0, m - 1), max_size=2))
-    uncovered = sum(1 << w for w in set(words))
-    cands = _bits(masks[(uncovered & -uncovered).bit_length() - 1])
-    return masks, (1 << m) - 1, uncovered, cands, draw(st.integers(0, len(cands)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_last_levels())
-def test_first_completing_matches_brute_scan(case):
-    masks, full, uncovered, cands, lo = case
-    covered = full ^ uncovered
-    want = next((i for i in range(lo, len(cands)) if masks[cands[i]] | covered == full), None)
-    assert _first_completing(masks, uncovered, cands, lo) == want
 
 
 @st.composite
