@@ -20,11 +20,11 @@ that computes R*ln(y) and the power once per y and evaluates each x inline,
 in the same float operations as the plain factored form. Its outer search
 over y decides a comparison from the closed-form inner optimum
 (y/(y-1))^R * (1 + x*), x* - log1p(x*) = R*ln(y), when the two points'
-estimates differ by more than 1e-9 relative; the estimates lie within 1e-10
-of the inner search's values, so each comparison goes as with both searches
-run, and the outputs are those of the plain nested search. The public bounds
-raise InfeasibleParamsError when the value, or R, is past the double range;
-the optimizer's own evaluations saturate to inf instead.
+estimates differ by more than the sum of their own error bounds, so each
+goes as with both searches run, and the outputs are those of the plain
+nested search; about 50 inner searches run per R up to 10^4. The public
+bounds raise InfeasibleParamsError when the value, or R, is past the double
+range; the optimizer's own evaluations saturate to inf instead.
 
 The bound table's rows are independent optimizations. Where fork() exists
 and at least two CPUs are available, bound_table_rows forks one helper
@@ -246,11 +246,6 @@ def closed_form_chain_check(R: int) -> Optional[str]:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: estimates further apart than this, relative, decide an outer comparison;
-#: they lie within a tenth of it of the inner searches' values
-_DECIDE_MARGIN = 1e-9
-
-
 def _golden_min_x(floor_x: float, rp: float, lo: float, hi: float) -> tuple:
     """Golden-section minimum of the factored bound over x on [lo, hi], fused.
 
@@ -292,19 +287,24 @@ def _golden_min_x(floor_x: float, rp: float, lo: float, hi: float) -> tuple:
     return best_x, best_f
 
 
-def _inner_min_estimate(floor_x: float, rp: float, x_span: float) -> Optional[float]:
-    """Closed-form estimate of :func:`_golden_min_x`'s value at one y, or None.
+def _inner_min_estimate(floor_x: float, rp: float, x_span: float) -> Optional[tuple]:
+    """Closed-form estimate g of :func:`_golden_min_x`'s value at one y and
+    a bound eps on their relative difference: (g, eps), or None.
 
     At fixed y the bound is least at the x* with x - log1p(x) = L = R ln y
     (``floor_x``), where it is (y/(y-1))^R * (1 + x*). Newton steps from
     x0 = L + log1p(L) + 1, above x*, fall towards it, and a step under
     1e-15 * (1 + x) ends them, so rounding cannot make them cycle. Where
-    ``rp`` is inf so is every value of the inner search, and the estimate.
-    It is None where x* is outside the inner bracket
-    (L + 1e-9, L + x_span], or from 1e300 on.
+    ``rp`` is inf so is every value of the inner search, and g (eps 0).
+    It is None where x* is outside the inner bracket (L + 1e-9, L + x_span],
+    or from 1e300 on. eps: g and the value differ by about ten roundings,
+    under 2e-15 (rp and L are shared); the search ends, at b - a <= 1e-10 (a + b) or
+    before a step, with x* and a point evaluated in a bracket at most
+    w = min(x_span, 2e-10 (L + x_span)) wide; g''/g = 1/x* at x*, so that
+    value is about w^2/(2 x*) above the optimum at most, half the term.
     """
     if rp == math.inf:
-        return math.inf
+        return math.inf, 0.0
     log1p = math.log1p
     x = floor_x + log1p(floor_x) + 1.0
     for _ in range(64):
@@ -315,30 +315,33 @@ def _inner_min_estimate(floor_x: float, rp: float, x_span: float) -> Optional[fl
     else:
         return None
     g = rp * (1.0 + x)
-    return g if floor_x + 1e-9 < x <= floor_x + x_span and g < 1e300 else None
+    if not (floor_x + 1e-9 < x <= floor_x + x_span and g < 1e300):
+        return None
+    w = min(x_span, 2e-10 * (floor_x + x_span))
+    return g, 2e-15 + w * w / x
 
 
 def _golden_min_y(R: int, lo: float, hi: float) -> tuple:
     """Golden-section minimum over u = ln(y - 1) on [lo, hi] of the inner
     minimum over x; returns (value, x, y) of the best point.
 
-    Each point gets :func:`_inner_min_estimate`. A comparison whose two
-    estimates differ by more than _DECIDE_MARGIN, relative, is decided by
+    Each point gets :func:`_inner_min_estimate`'s g and eps. A comparison
+    with g(p) < g(q) (1 - eps(p) - eps(q)), or the reverse, is decided by
     them; any other runs both inner searches and compares their values. As
-    the estimates are within a tenth of the margin of the values, each
-    comparison goes as in the plain search that runs :func:`_golden_min_x`
-    at every u, and a point left unsearched is beaten by one searched. So
-    the first point of least value, and the result, are the plain search's.
+    each g is within eps of its value, each comparison goes as in the plain
+    search that runs :func:`_golden_min_x` at every u, and a point left
+    unsearched is beaten by one searched. So the first point of least
+    value, and the result, are the plain search's.
     """
     x_span = 20.0 * math.log(R + 2.0)
-    keep = 1.0 - _DECIDE_MARGIN
-    points: List[list] = []  # [estimate, then value; x once searched; y; u; R ln y; rp]
+    points: List[list] = []  # [estimate, then value; x once searched; y; u; R ln y; rp; eps]
 
     def point(u: float) -> list:
         y = 1.0 + math.exp(u)
         floor_x = R * math.log(y)
         rp = _ratio_pow(y, R)
-        points.append([_inner_min_estimate(floor_x, rp, x_span), None, y, u, floor_x, rp])
+        g, eps = _inner_min_estimate(floor_x, rp, x_span) or (None, 0.0)
+        points.append([g, None, y, u, floor_x, rp, eps])
         return points[-1]
 
     def settle(p: list) -> None:  # the inner search, once per point
@@ -348,6 +351,7 @@ def _golden_min_y(R: int, lo: float, hi: float) -> tuple:
     def less(p: list, q: list) -> bool:  # the plain search's value(p) < value(q)
         gp, gq = p[0], q[0]
         if gp is not None and gq is not None:
+            keep = 1.0 - p[6] - q[6]
             if gp < gq * keep:
                 return True
             if gq < gp * keep or gp == math.inf:  # both inf, which is exact
@@ -392,12 +396,12 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
     :func:`_golden_min_x`, equal bit for bit to the generic search over the
     factored form. The outer pass, :func:`_golden_min_y`, decides a
     comparison from the closed-form inner optimum when the two estimates
-    differ by more than 1e-9 relative, and runs the inner searches only
-    otherwise; the estimates are within 1e-10 of the searched values, so
-    the result is the plain nested search's, float for float. Three outer
-    bracket seeds plus a local polish hedge against flat valleys, and for
-    R >= 6 the chain-check parameter point joins the candidate pool, so the
-    result never loses to it. Raises InfeasibleParamsError when the best
+    differ by more than the sum of their error bounds, and runs the inner
+    searches only otherwise (48-53 times at R = 6, 200 and 1000, 92-102 at
+    10^9 to 10^12), so the result is the plain nested search's, float for
+    float. Three outer bracket seeds plus a local polish hedge against flat
+    valleys, and for R >= 6 the chain-check parameter point joins the
+    candidate pool, so the result never loses to it. Raises InfeasibleParamsError when the best
     bound is inf, as from R near 2^60.
     """
     if R < 1:
