@@ -44,13 +44,13 @@ def _far_columns(space: HammingSpace, balls: np.ndarray, radius: int) -> np.ndar
     R more kernel steps grow them to radius 2R. XOR with the union of all
     balls, which is every word, takes their complement within q^n bits, so
     the padding of the last uint64 word stays clear. The table is all zero
-    where 2R >= n.
+    where 2R >= n, where it settles no set.
     """
     far = expand_within_radius(space, balls, radius) ^ np.bitwise_or.reduce(balls)
     return np.ascontiguousarray(far.T)
 
 
-def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: Optional[np.ndarray],
+def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: np.ndarray,
                    covered: int, k: int, min_excl: int) -> Optional[int]:
     """Nodes in the search below ``covered`` for k more codewords above ``min_excl``.
 
@@ -64,7 +64,7 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: Optional[np.ndarra
     are searched a level at a time, in the steps the module docstring gives.
 
     ``far`` holds the words beyond distance 2R of each word as (W, q^n)
-    columns (:func:`_far_columns`), or is None where 2R >= n. A completing
+    columns (:func:`_far_columns`), all zero where 2R >= n. A completing
     child is within R of every uncovered word, so on the last level (k = 1)
     a covered set with an uncovered word beyond 2R of its lowest has none:
     its children are counted but not built. Those blocks are counted and
@@ -78,17 +78,16 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: Optional[np.ndarra
     # covered set below ``covered``: the count drops them, and m counts the rest
     skip = (~covered & (covered + 1)).bit_length() - 1 >> 6
     balls, covered = balls[skip:], covered >> 64 * skip
-    far = None if far is None else far[skip:]
+    far = far[skip:]
     width, m, v_ball = len(balls), len(words) - 64 * skip, words.shape[1]
     start = np.frombuffer(covered.to_bytes(8 * width, "little"), dtype="<u8")[:, None]
     if width == 1:  # one uint64 per row: blocks are 1-D
-        balls, start = balls[0], start[0]
-        far = None if far is None else far[0]
+        balls, start, far = balls[0], start[0], far[0]
     stack = [(start, k)]
     count, held = 0, start.size  # nodes counted; words in the pending blocks
     while stack:
         cov, k = stack.pop()
-        last = k == 1 and far is not None  # tested whole, below
+        last = k == 1  # tested whole, below
         if cov.shape[-1] > rows and not last:
             stack.append((cov[..., rows:], k))
             cov = cov[..., :rows]

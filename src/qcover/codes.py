@@ -12,9 +12,10 @@ read by ``json``, with the same result. A density is an exact
 ``Fraction``. Exhaustive covering verification asks
 :func:`~qcover.hamming.uncovered_indices` for the words the code misses.
 Sampled verification spot-checks random words on spaces too large to
-enumerate: it binary-searches the indices of each word's radius-R ball in
-the code's sorted indices, or, where that costs more than scanning the
-code's digit columns, scans them once per word.
+enumerate, in one loop over batches of seeded samples. A batch is tested
+by binary-searching the indices of each word's radius-R ball in the code's
+sorted indices, or, where that costs more, by comparing the code's digit
+columns with the whole batch in one broadcast.
 """
 
 from __future__ import annotations
@@ -145,27 +146,55 @@ def verify_covering_sampled(
     """Spot-check ``samples`` uniform random words against the code.
 
     Usable on spaces far beyond the enumeration guard. Deterministic for a
-    fixed seed: the samples are drawn from one seeded stream in a fixed
-    order, and a failing verdict names the first uncovered one. Each sample
-    takes the cheaper of two tests, chosen per run by :func:`_lookup_pays`:
-    binary-searching the V = V_q(n, R) indices of its radius-R ball in
-    ``code.indices`` (:func:`_sampled_by_lookup`), or one distance test
-    against the code's n digit columns of |K| digits each.
+    fixed seed: one loop draws the samples from one seeded stream, a batch
+    at a time, and a failing verdict names the first uncovered one and its
+    sample number. A batch is tested whole, the cheaper of two ways, which
+    :func:`_lookup_pays` picks per run. The ball lookup binary-searches the
+    V = V_q(n, R) indices of each sample's radius-R ball in ``code.indices``,
+    2^16 // (V + n*q) samples a batch: its (s, V) keys and (s, n*q) offsets
+    stay under 2^16 elements each while s >= 2, and one sample's O(V)
+    scratch stays below the scan's digit matrix. The scan compares the
+    code's n digit columns of |K| digits with the whole batch in one
+    broadcast, 2^16 // (n*|K|) samples a batch. A batch holds at least one.
     """
     check_radius(radius)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    sp = code.space
+    sp, indices = code.space, code.indices
+    q, n, size = sp.q, sp.n, len(code)
     rng = random.Random(f"sampled-verify:{seed}")
-    if _lookup_pays(sp, len(code), radius):
-        return _sampled_by_lookup(code, radius, samples, rng)
-    columns = np.ascontiguousarray(indices_to_digits(sp, code.indices).T)  # (n, |K|)
-    dist_dtype = np.min_scalar_type(sp.n)
-    for k in range(samples):
-        w = tuple(rng.randrange(sp.q) for _ in range(sp.n))
-        mismatched = columns != np.asarray(w, dtype=columns.dtype)[:, None]
-        if not np.any(mismatched.sum(axis=0, dtype=dist_dtype) <= radius):
-            return SampleVerdict(True, w, k + 1)
+    lookup = _lookup_pays(sp, size, radius)
+    if lookup:
+        ball = _ball_offsets(sp, radius)
+        volume = ball_volume(sp, radius)
+        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        batch = max(1, (1 << 16) // (volume + n * q))
+    else:
+        columns = indices_to_digits(sp, indices).T  # (n, |K|), contiguous
+        batch = max(1, (1 << 16) // max(n, 1) // max(size, 1))
+    for done in range(0, samples, batch):
+        s = min(batch, samples - done)
+        drawn = [rng.randrange(q) for _ in range(s * n)]
+        digits = np.array(drawn, np.int64).reshape(s, n)
+        if lookup:
+            # The neighbour of w with digit p changed to (w_p + c) mod q has
+            # index idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p), so a ball
+            # is idx(w) plus, for each row of _ball_offsets, one term
+            # gathered from its (n * q) such offsets.
+            at = np.repeat(digits @ weights, volume).reshape(s, volume)
+            w = digits[:, :, None]
+            offsets = (((w + np.arange(q)) % q - w) * weights[:, None]).reshape(s, n * q)
+            for term in ball:
+                at += offsets[:, term]
+            covered = (indices[np.minimum(np.searchsorted(indices, at), size - 1)] == at).any(axis=1)
+        else:
+            mismatched = columns != digits.astype(columns.dtype)[:, :, None]  # (s, n, |K|)
+            covered = (mismatched.sum(axis=1, dtype=np.min_scalar_type(n)) <= radius).any(axis=1)
+            del mismatched  # before the next batch's
+        missed = np.flatnonzero(~covered)
+        if missed.size:
+            k = int(missed[0])
+            return SampleVerdict(True, tuple(drawn[k * n : (k + 1) * n]), done + k + 1)
     return SampleVerdict(False, None, samples)
 
 
@@ -182,41 +211,6 @@ def _lookup_pays(space: HammingSpace, size: int, radius: int) -> bool:
     r = min(radius, space.n)
     volume = ball_volume(space, radius)
     return size > 0 and 16 * volume * (size.bit_length() + r) <= space.n * size
-
-
-def _sampled_by_lookup(code: Code, radius: int, samples: int, rng: random.Random) -> SampleVerdict:
-    """:func:`verify_covering_sampled` by ball lookup, drawing its samples from ``rng``.
-
-    The neighbour of w with digit p changed to (w_p + c) mod q has index
-    idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p), so a sample's ball is
-    idx(w) plus, for each row of :func:`_ball_offsets`, one term gathered
-    from its (n * q) such offsets. A batch of s samples is tested at a time
-    with one ``np.searchsorted``; its (s, V) keys and (s, n*q) offsets stay
-    under 2^16 elements each while s >= 2. A single sample with a larger
-    ball takes O(V) scratch, which :func:`_lookup_pays` keeps below the
-    scan's digit matrix.
-    """
-    sp, indices = code.space, code.indices
-    q, n, size = sp.q, sp.n, len(code)
-    ball = _ball_offsets(sp, radius)
-    volume = ball_volume(sp, radius)
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    batch = max(1, (1 << 16) // (volume + n * q))
-    for done in range(0, samples, batch):
-        s = min(batch, samples - done)
-        drawn = [rng.randrange(q) for _ in range(s * n)]
-        digits = np.array(drawn, np.int64).reshape(s, n)
-        at = np.repeat(digits @ weights, volume).reshape(s, volume)
-        w = digits[:, :, None]
-        offsets = (((w + np.arange(q)) % q - w) * weights[:, None]).reshape(s, n * q)
-        for term in ball:
-            at += offsets[:, term]
-        covered = (indices[np.minimum(np.searchsorted(indices, at), size - 1)] == at).any(axis=1)
-        missed = np.flatnonzero(~covered)
-        if missed.size:
-            k = int(missed[0])
-            return SampleVerdict(True, tuple(drawn[k * n : (k + 1) * n]), done + k + 1)
-    return SampleVerdict(False, None, samples)
 
 
 def _ball_offsets(space: HammingSpace, radius: int) -> np.ndarray:

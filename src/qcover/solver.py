@@ -228,7 +228,7 @@ def minimal_covering_code(
     balls = _ball_rows(space, radius)
     masks = _ball_masks(balls)
     words = _ball_words(balls)
-    far = _far_columns(space, balls, radius) if 2 * radius < space.n else None
+    far = _far_columns(space, balls, radius)
     balls = np.ascontiguousarray(balls.T)  # the columns _subtree_nodes reads
     full = (1 << m) - 1
     deadline = None if time_budget is None else start + time_budget

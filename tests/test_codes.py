@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from qcover.codes import (
     _ball_offsets,
     _lookup_pays,
     _read_canonical,
-    _sampled_by_lookup,
     code_from_dict,
     code_to_dict,
     dumps_code,
@@ -361,11 +361,13 @@ def test_sampled_equals_column_scan(case):
     code, radius, samples, seed = case
     want = reference_verify_covering_sampled(code, radius, samples, seed)
     assert verify_covering_sampled(code, radius, samples, seed) == want
+    # each path forced: the scan also where the lookup is cheaper, and the
+    # lookup also where the scan is cheaper and where the ball fills a batch
+    with mock.patch.object(codes, "_lookup_pays", return_value=False):
+        assert verify_covering_sampled(code, radius, samples, seed) == want
     if len(code) and ball_volume(code.space, radius) <= 1 << 17:
-        # the lookup on its own, also where the scan is cheaper and where
-        # the ball fills a whole batch
-        rng = random.Random(f"sampled-verify:{seed}")
-        assert _sampled_by_lookup(code, radius, samples, rng) == want
+        with mock.patch.object(codes, "_lookup_pays", return_value=True):
+            assert verify_covering_sampled(code, radius, samples, seed) == want
 
 
 @pytest.mark.parametrize("q,n,radius", [(2, 20, 7), (12, 5, 4)])
@@ -375,8 +377,26 @@ def test_lookup_of_a_ball_larger_than_a_batch(q, n, radius):
     code = Code(sp, np.unique(np.random.default_rng(q).integers(0, sp.size, 64)))
     for seed in range(3):
         want = reference_verify_covering_sampled(code, radius, 50, seed)
-        rng = random.Random(f"sampled-verify:{seed}")
-        assert _sampled_by_lookup(code, radius, 50, rng) == want
+        with mock.patch.object(codes, "_lookup_pays", return_value=True):
+            assert verify_covering_sampled(code, radius, 50, seed) == want
+
+
+def test_scan_of_one_sample_a_batch_holds_one_comparison():
+    """Past 2^16 digits a scan batch is one sample: the peak is the code's
+    n*|K| digit columns and one n*|K| comparison, where a second sample in
+    the batch, or the last batch's comparison kept, would add a third."""
+    sp, radius = HammingSpace(2, 40), 20
+    code = Code(sp, np.unique(np.random.default_rng(0).integers(0, sp.size, 10_000)))
+    digits = sp.n * len(code)
+    assert not _lookup_pays(sp, len(code), radius) and digits > 1 << 16
+    tracemalloc.start()
+    try:
+        got = verify_covering_sampled(code, radius, 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_verify_covering_sampled(code, radius, 20, seed=0)
+    assert peak < 2.5 * digits, peak
 
 
 def _planted_code(n, radius, planted, size, seed):

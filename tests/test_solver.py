@@ -161,12 +161,12 @@ def test_deadline_reads_across_an_incumbent_step(monkeypatch):
 @lru_cache(maxsize=16)
 def _cached_tables(q, n, radius):
     """The solver's ball tables: big-int masks, then what :func:`_subtree_nodes`
-    reads: (W, q^n) ball columns, ball words and the beyond-2R columns, as the
-    solver builds them (None where 2R >= n)."""
+    reads: (W, q^n) ball columns, ball words and the beyond-2R columns (all
+    zero where 2R >= n), as the solver builds them."""
     space = HammingSpace(q, n)
     rows = _ball_rows(space, radius)
     masks = _ball_masks(rows)
-    far = _far_columns(space, rows, radius) if 2 * radius < n else None
+    far = _far_columns(space, rows, radius)
     return masks, (np.ascontiguousarray(rows.T), _ball_words(rows), far)
 
 
