@@ -229,6 +229,9 @@ def closed_form_chain_check(R: int) -> Optional[str]:
     # the identity cannot be checked in doubles: step (t) fails
     if not (math.isfinite(x) and math.isfinite(y)):
         return "t"
+    # t inherits x's rounding error, about x * 2^-53, as a relative error, so
+    # from about R = 10^6 this check can fail where the chain holds (at
+    # R = 3e6, 1e8 and 1e12, say): a float check, not the chain's failure
     if not math.isclose(feasibility(BoundParams(R=R, x=x, y=y)), 1.0 / r_sq, rel_tol=1e-9):
         return "t"
     if not x * (1.0 + 1.0 / (r_sq - 1.0)) < R * (ln_r + math.log(ln_r) + 0.8):

@@ -12,10 +12,11 @@ read by ``json``, with the same result. A density is an exact
 ``Fraction``. Exhaustive covering verification asks
 :func:`~qcover.hamming.uncovered_indices` for the words the code misses.
 Sampled verification spot-checks random words on spaces too large to
-enumerate, in one loop over batches of seeded samples. A batch is tested
-by binary-searching the indices of each word's radius-R ball in the code's
-sorted indices, or, where that costs more, by comparing the code's digit
-columns with the whole batch in one broadcast.
+enumerate, in one loop over batches of seeded samples whose digits are
+drawn in bulk, bit for bit the ``randrange`` stream. A batch is tested by
+binary-searching the indices of each word's radius-R ball in the code's
+sorted indices, nearest shell first, or, where that costs more, by
+comparing the code's digit columns with the whole batch in one broadcast.
 """
 
 from __future__ import annotations
@@ -26,17 +27,18 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional
 
 import numpy as np
 
+from ._randdigits import randrange_digits
 from .errors import SpaceTooLargeError
 from .hamming import (
     DEFAULT_ENUMERATION_GUARD,
     INDEX_LIMIT,
     HammingSpace,
     Word,
+    ball_offsets,
     ball_volume,
     check_radius,
     digits_to_indices,
@@ -146,55 +148,67 @@ def verify_covering_sampled(
     """Spot-check ``samples`` uniform random words against the code.
 
     Usable on spaces far beyond the enumeration guard. Deterministic for a
-    fixed seed: one loop draws the samples from one seeded stream, a batch
-    at a time, and a failing verdict names the first uncovered one and its
-    sample number. A batch is tested whole, the cheaper of two ways, which
-    :func:`_lookup_pays` picks per run. The ball lookup binary-searches the
-    V = V_q(n, R) indices of each sample's radius-R ball in ``code.indices``,
-    2^16 // (V + n*q) samples a batch: its (s, V) keys and (s, n*q) offsets
-    stay under 2^16 elements each while s >= 2, and one sample's O(V)
-    scratch stays below the scan's digit matrix. The scan compares the
-    code's n digit columns of |K| digits with the whole batch in one
-    broadcast, 2^16 // (n*|K|) samples a batch. A batch holds at least one.
+    fixed seed: one loop takes the samples' digits from one seeded
+    ``randrange`` stream, drawn in bulk by :mod:`qcover._randdigits`, a
+    batch at a time, and a failing verdict names the first uncovered one
+    and its sample number. A batch is tested whole, the cheaper of two
+    ways, which :func:`_lookup_pays` picks per run. The ball lookup
+    binary-searches each sample's radius-R ball in ``code.indices`` nearest
+    shell first, each shell only for the samples no nearer one covered,
+    2^16 // (V + n*q) samples a batch, V = V_q(n, R): its (s, V) keys and
+    (s, n*q) offsets stay under 2^16 elements each while s >= 2, and one
+    sample's O(V) scratch stays below the scan's digit matrix. The scan
+    compares the code's n digit columns of |K| digits with the whole batch
+    in one broadcast, 2^16 // (n*|K|) samples a batch. A batch holds at
+    least one.
     """
     check_radius(radius)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     sp, indices = code.space, code.indices
     q, n, size = sp.q, sp.n, len(code)
-    rng = random.Random(f"sampled-verify:{seed}")
+    draw = randrange_digits(random.Random(f"sampled-verify:{seed}"), q)
     lookup = _lookup_pays(sp, size, radius)
     if lookup:
-        ball = _ball_offsets(sp, radius)
-        volume = ball_volume(sp, radius)
-        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        batch = max(1, (1 << 16) // (volume + n * q))
+        ball = ball_offsets(sp, radius)
+        weights = np.array([q ** (n - 1 - p) for p in range(n)], np.int64)
+        batch = max(1, (1 << 16) // (ball_volume(sp, radius) + n * q))
     else:
         columns = indices_to_digits(sp, indices).T  # (n, |K|), contiguous
         batch = max(1, (1 << 16) // max(n, 1) // max(size, 1))
     for done in range(0, samples, batch):
         s = min(batch, samples - done)
-        drawn = [rng.randrange(q) for _ in range(s * n)]
-        digits = np.array(drawn, np.int64).reshape(s, n)
+        digits = draw(s * n).reshape(s, n)
         if lookup:
             # The neighbour of w with digit p changed to (w_p + c) mod q has
-            # index idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p), so a ball
-            # is idx(w) plus, for each row of _ball_offsets, one term
-            # gathered from its (n * q) such offsets.
-            at = np.repeat(digits @ weights, volume).reshape(s, volume)
-            w = digits[:, :, None]
-            offsets = (((w + np.arange(q)) % q - w) * weights[:, None]).reshape(s, n * q)
-            for term in ball:
-                at += offsets[:, term]
-            covered = (indices[np.minimum(np.searchsorted(indices, at), size - 1)] == at).any(axis=1)
+            # index idx(w) + ((w_p + c) mod q - w_p) * q^(n-1-p), so a word
+            # of shell i is idx(w) plus, for each of the first i rows of its
+            # ball_offsets column, one term gathered from its (n * q) such
+            # offsets; shell 0 needs none.
+            base = digits_to_indices(sp, digits)
+            if len(ball):
+                w = digits[:, :, None]
+                offsets = (((w + np.arange(q)) % q - w) * weights[:, None]).reshape(s, n * q)
+            missed = np.arange(s)  # the samples no nearer shell covers, in order
+            start = 0
+            for i in range(len(ball) + 1):  # shell i: the words at distance i
+                if not (missed.size and size):  # all covered, or the empty code
+                    break
+                stop = ball_volume(sp, i)
+                at = np.repeat(base[missed], stop - start).reshape(missed.size, stop - start)
+                for term in ball[:i, start:stop]:
+                    at += offsets[missed[:, None], term]
+                found = indices.take(np.searchsorted(indices, at), mode="clip") == at
+                missed = missed[~found.any(axis=1)]
+                start = stop
         else:
             mismatched = columns != digits.astype(columns.dtype)[:, :, None]  # (s, n, |K|)
             covered = (mismatched.sum(axis=1, dtype=np.min_scalar_type(n)) <= radius).any(axis=1)
             del mismatched  # before the next batch's
-        missed = np.flatnonzero(~covered)
+            missed = np.flatnonzero(~covered)
         if missed.size:
             k = int(missed[0])
-            return SampleVerdict(True, tuple(drawn[k * n : (k + 1) * n]), done + k + 1)
+            return SampleVerdict(True, tuple(digits[k].tolist()), done + k + 1)
     return SampleVerdict(False, None, samples)
 
 
@@ -202,35 +216,17 @@ def _lookup_pays(space: HammingSpace, size: int, radius: int) -> bool:
     """Whether ball lookup beats the column scan on a code of ``size`` words.
 
     Per sample, a lookup does r = min(R, n) additions and bit_length(|K|)
-    search steps for each of the V words of the ball, and a scan compares
-    n * |K| digits. An addition or step measured about ten digit
-    comparisons (2-3.5 ns against 0.2-0.35 ns, q = 2..12 on a 2-vCPU x86-64
-    host), so the lookup needs a 16-fold margin, which also keeps its
-    (r, V) table under half the scan's digit matrix. The empty code scans.
+    search steps for each of the V words of the ball, fewer when a nearer
+    shell covers the sample, and a scan compares n * |K| digits. Where every
+    sample needs the whole ball, an addition or step measured about ten
+    digit comparisons (1.6-2 ns against 0.19 ns, [2]^40 with R = 3 on a
+    2-vCPU x86-64 host), so a step is weighed as ten comparisons, which also
+    keeps the lookup's (r, V) table of 8-byte entries below the scan's
+    n * |K| digit bytes. The empty code scans.
     """
     r = min(radius, space.n)
     volume = ball_volume(space, radius)
-    return size > 0 and 16 * volume * (size.bit_length() + r) <= space.n * size
-
-
-def _ball_offsets(space: HammingSpace, radius: int) -> np.ndarray:
-    """The words within ``radius`` of the zero word, as an (r, V) table.
-
-    V = V_q(n, radius) and r = min(radius, n). Column i names the nonzero
-    digits of the i-th word of the ball, in order of weight: digit c at
-    position p is the flat index p*q + c into an (n, q) array, and columns
-    are padded with 0, which names digit 0 at position 0.
-    """
-    q, n, r = space.q, space.n, min(radius, space.n)
-    table = np.zeros((r, ball_volume(space, radius)), np.intp)
-    start = 1
-    for i in range(1, r + 1):
-        at = np.fromiter(combinations(range(n), i), np.dtype((np.intp, i))) * q  # (C(n, i), i)
-        symbols = np.indices((q - 1,) * i).reshape(i, -1).T + 1  # ((q-1)^i, i)
-        stop = start + len(at) * len(symbols)
-        table[:i, start:stop] = (at[:, None, :] + symbols).reshape(-1, i).T
-        start = stop
-    return table
+    return size > 0 and 10 * volume * (size.bit_length() + r) <= space.n * size
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -92,6 +93,27 @@ def ball_volume(space: HammingSpace, radius: int) -> int:
     check_radius(radius)
     q, n = space.q, space.n
     return sum((q - 1) ** i * math.comb(n, i) for i in range(min(radius, n) + 1))
+
+
+def ball_offsets(space: HammingSpace, radius: int) -> np.ndarray:
+    """The words within ``radius`` of the zero word, as an (r, V) table.
+
+    V = V_q(n, radius) and r = min(radius, n). Column i names the nonzero
+    digits of the i-th word of the ball, in order of weight: digit c at
+    position p is the flat index p*q + c into an (n, q) array, and columns
+    are padded with 0, which names digit 0 at position 0. So the words at
+    distance i >= 1 are columns ball_volume(i - 1) up to ball_volume(i).
+    """
+    q, n, r = space.q, space.n, min(radius, space.n)
+    table = np.zeros((r, ball_volume(space, radius)), np.intp)
+    start = 1
+    for i in range(1, r + 1):
+        at = np.fromiter(combinations(range(n), i), np.dtype((np.intp, i))) * q  # (C(n, i), i)
+        symbols = np.indices((q - 1,) * i).reshape(i, -1).T + 1  # ((q-1)^i, i)
+        stop = start + len(at) * len(symbols)
+        table[:i, start:stop] = (at[:, None, :] + symbols).reshape(-1, i).T
+        start = stop
+    return table
 
 
 def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcover import (
@@ -21,8 +21,8 @@ from qcover import (
     verify_covering_sampled,
 )
 from qcover import codes
+from qcover._randdigits import DRAW_WORDS, randrange_digits
 from qcover.codes import (
-    _ball_offsets,
     _lookup_pays,
     _read_canonical,
     code_from_dict,
@@ -32,6 +32,7 @@ from qcover.codes import (
     write_code,
 )
 from qcover.hamming import (
+    ball_offsets,
     ball_volume,
     expand_within_radius,
     uncovered_indices,
@@ -323,7 +324,7 @@ def test_sampled_never_contradicts_exhaustive():
 def test_ball_offsets_name_each_word_of_the_ball_once(q, n):
     sp = HammingSpace(q, n)
     for radius in range(n + 2):
-        table = _ball_offsets(sp, radius)
+        table = ball_offsets(sp, radius)
         assert table.shape == (min(radius, n), ball_volume(sp, radius))
         words = []
         for row in table.T.tolist():
@@ -355,17 +356,26 @@ def _sampled_cases(draw):
     return Code(sp, indices), radius, draw(st.integers(1, 400)), draw(st.integers(0, 2**32))
 
 
+_EVERY_OTHER_WORD = Code(HammingSpace(3, 5), np.arange(0, 3**5, 2))
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=_sampled_cases())
+# the ball lookup at R = 0, at R >= n and on the empty code past the guard
+@example(case=(_EVERY_OTHER_WORD, 0, 300, 1))
+@example(case=(_EVERY_OTHER_WORD, 5, 300, 2))
+@example(case=(_EVERY_OTHER_WORD, 6, 300, 3))
+@example(case=(Code(HammingSpace(3, 30), np.empty(0, np.int64)), 2, 10, 4))
 def test_sampled_equals_column_scan(case):
     code, radius, samples, seed = case
     want = reference_verify_covering_sampled(code, radius, samples, seed)
     assert verify_covering_sampled(code, radius, samples, seed) == want
     # each path forced: the scan also where the lookup is cheaper, and the
-    # lookup also where the scan is cheaper and where the ball fills a batch
+    # lookup also where the scan is cheaper, on the empty code and where the
+    # ball fills a batch
     with mock.patch.object(codes, "_lookup_pays", return_value=False):
         assert verify_covering_sampled(code, radius, samples, seed) == want
-    if len(code) and ball_volume(code.space, radius) <= 1 << 17:
+    if ball_volume(code.space, radius) <= 1 << 17:
         with mock.patch.object(codes, "_lookup_pays", return_value=True):
             assert verify_covering_sampled(code, radius, samples, seed) == want
 
@@ -433,6 +443,55 @@ def test_sampled_lookup_and_scan_agree_past_the_guard(n, half, size):
             assert got.found_uncovered and got.samples == 201
     # n/2 and R = 3 always take the scan, R = 1 the lookup
     assert paths == ({False} if half else {True, False})
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 10, 12, 255, 256, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3]
+)
+def test_bulk_digits_are_the_randrange_stream(q):
+    """The guard on the bulk draw: if a Python release changes how
+    ``randrange`` consumes the generator, this fails. Calls are split
+    across draws of DRAW_WORDS outputs and across calls."""
+    counts = [0, 1, 7, DRAW_WORDS - 3, 5, DRAW_WORDS + 11, 0, 13]
+    for seed in range(3):
+        take = randrange_digits(random.Random(f"digits:{seed}"), q)
+        got = [take(count) for count in counts]
+        assert [part.size for part in got] == counts
+        assert all(part.dtype == (np.uint32 if q < 2**32 else np.uint64) for part in got)
+        rng = random.Random(f"digits:{seed}")
+        assert np.concatenate(got).tolist() == [rng.randrange(q) for _ in range(sum(counts))]
+
+
+@pytest.mark.parametrize("n,radius", [(30, 1), (30, 2), (24, 3)])
+def test_shell_lookup_covers_at_distance_exactly_r_and_misses_in_the_second_batch(n, radius):
+    # a codeword at distance exactly R from each sample of the first one and
+    # a half lookup batches: no shell nearer than R covers them, and sample
+    # planted + 1, in the second batch, is the first uncovered one
+    sp = HammingSpace(2, n)
+    batch = (1 << 16) // (ball_volume(sp, radius) + 2 * n)
+    planted = batch + batch // 2
+    code = _planted_code(n, radius, planted, planted, seed=7)
+    with mock.patch.object(codes, "_lookup_pays", return_value=True):
+        got = verify_covering_sampled(code, radius, 3 * batch, seed=7)
+        assert got == reference_verify_covering_sampled(code, radius, 3 * batch, seed=7)
+        assert got.found_uncovered and got.samples == planted + 1
+        assert batch < got.samples <= 2 * batch
+        # without shell R the first sample is already uncovered
+        assert verify_covering_sampled(code, radius - 1, 3 * batch, seed=7).samples == 1
+
+
+def test_lookup_at_radius_zero_builds_no_digit_offsets():
+    # at R = 0 each sample's index is its whole ball, so the lookup needs
+    # none of the (s, n * q) digit offsets, which for q > 2^40 would not fit
+    # in memory; the first 20 samples are codewords, the 21st is not
+    q = 2**40 + 3
+    stream = random.Random("sampled-verify:5")
+    planted = {stream.randrange(q) for _ in range(20)}
+    code = Code(HammingSpace(q, 1), sorted(planted | set(range(0, 7 * 400, 7))))
+    assert _lookup_pays(code.space, len(code), 0)
+    got = verify_covering_sampled(code, 0, 50, seed=5)
+    assert got == reference_verify_covering_sampled(code, 0, 50, seed=5)
+    assert got.found_uncovered and got.samples == 21
 
 
 def test_density_examples():
