@@ -25,8 +25,6 @@ it cannot change a count.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .hamming import HammingSpace, expand_within_radius
@@ -51,16 +49,17 @@ def _far_columns(space: HammingSpace, balls: np.ndarray, radius: int) -> np.ndar
 
 
 def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: np.ndarray,
-                   covered: int, k: int, min_excl: int) -> Optional[int]:
+                   covered: int, k: int, min_excl: int) -> tuple[int, bool]:
     """Nodes in the search below ``covered`` for k more codewords above ``min_excl``.
 
     ``balls`` holds the ball rows of :func:`qcover.solver._ball_rows` as
     (W, q^n) columns and ``words`` each ball's words, ascending. The search
     branches on the lowest uncovered word; a child passes when at most
     k - 1 more balls could cover the rest, and is searched with k - 1.
-    Returns None when some node completes the cover, where the visit order
-    decides the outcome, or past ``_COUNT_NODES`` nodes or ``_COUNT_WORDS``
-    pending words; otherwise no order can change the count. Covered sets
+    Returns the count and True, since no order can change it; or gives up
+    with the nodes counted so far and False where some node completes the
+    cover, so that the visit order decides the outcome, or past
+    ``_COUNT_NODES`` nodes or ``_COUNT_WORDS`` pending words. Covered sets
     are searched a level at a time, in the steps the module docstring gives.
 
     ``far`` holds the words beyond distance 2R of each word as (W, q^n)
@@ -108,7 +107,7 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: np.ndarray,
         if min_excl >= 0:
             count -= int(np.count_nonzero(words.take(low, axis=0) <= min_excl))
         if count > _COUNT_NODES:
-            return None
+            return count, False
         if last:
             # a completing child's ball holds the lowest uncovered word and
             # every other, so these all lie within 2R of the lowest
@@ -126,13 +125,13 @@ def _subtree_nodes(balls: np.ndarray, words: np.ndarray, far: np.ndarray,
                 got[step <= min_excl] = 0
             top = got.max()
             if top == m:
-                return None
+                return count, False
             need = max(m - (k - 1) * v_ball, 1)  # skipped children, at 0, never pass
             if top >= need:
                 child = child.reshape(cov.shape[:-1] + (-1,)).compress((got >= need).ravel(), axis=-1)
                 stack.append((child, k - 1))
                 held += child.size
                 if held > _COUNT_WORDS:
-                    return None
+                    return count, False
             del child  # before the next step's, which may be as large
-    return count
+    return count, True

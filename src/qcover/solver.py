@@ -40,9 +40,12 @@ numpy (:func:`qcover._subtree._subtree_nodes`, which settles most of its
 last level by a radius-2R test), and if no node in it completes the cover
 the count goes to ``nodes`` in bulk, through the same budget checkpoints.
 Otherwise, or past a cap on nodes or memory, the child becomes a frame
-and the loop tries its candidates one by one, the last level's too;
-counts that gave up take at most half the search's time. The tree, its
-visit order, ``nodes`` and every output are the loop's alone.
+and the loop tries its candidates one by one, the last level's too.
+Counts are skipped while the nodes counted by those that gave up exceed
+the search's other nodes, each the loop visits weighed by its cost: so
+counts that gave up take at most about half the search's time, and which
+counts run depends on the search alone. The tree, its visit order,
+``nodes`` and every output are the loop's alone.
 
 The canonicalization pass knows one completion of the prefix it grows: at
 first the first pass's optimum, then the cover its last search found,
@@ -74,6 +77,12 @@ EXACT_SOLVER_GUARD = 1 << 12
 #: Greedy full-space ball covers get their own, tighter guard: the ball
 #: bitmasks take (q^n)^2 bits, so the cover is meant for base cases only.
 GREEDY_COVER_GUARD = 1 << 14
+
+#: The rule that skips counts weighs each node the search loop visits as
+#: this many nodes counted in bulk. A loop node costs 12 to 27 on K_2(6,1)
+#: and K_2(7,2), 6 on K_2(12,1) (2-vCPU x86-64); the weight errs high, toward
+#: running counts, which save far more when they succeed.
+_LOOP_NODE_COST = 32
 
 
 @dataclass(frozen=True)
@@ -264,23 +273,12 @@ def minimal_covering_code(
         nodes = to
 
     members: List[Optional[List[int]]] = [None] * m
-    # Counts that give up are wasted work. Where most subtrees hold a smaller
-    # cover or pass a cap (K_2(12,1), say), every call's count would give up,
-    # and 256 nodes could take minutes between two deadline reads; so a call
-    # skips its count while counts that gave up have taken more than half
-    # the search's time, and a deadline is read at most one count late.
-    searching = time.perf_counter()
-    gave_up_s = 0.0
-
-    def count_subtree(covered: int, k: int, min_excl: int) -> Optional[int]:
-        nonlocal gave_up_s
-        now = time.perf_counter()
-        if 2 * gave_up_s > now - searching:
-            return None
-        count = _subtree_nodes(balls, words, far, covered, k, min_excl)
-        if count is None:
-            gave_up_s += time.perf_counter() - now
-        return count
+    # Counts that give up are wasted work: where most subtrees hold a smaller
+    # cover or pass a cap (K_2(12,1), say), 256 nodes could take minutes
+    # between two deadline reads. So a count is skipped while ``wasted``, the
+    # nodes counts that gave up had counted, exceeds ``bulk``, those of counts
+    # that did not, plus _LOOP_NODE_COST for each node the loop visited.
+    wasted = bulk = 0
 
     def branch_words(covered: int) -> List[int]:
         """The words whose balls hold the smallest uncovered word."""
@@ -311,7 +309,7 @@ def minimal_covering_code(
         subtree that holds them would meet a completing node and give up:
         a child in ``known`` skips its count and gets the rest of it.
         """
-        nonlocal nodes
+        nonlocal nodes, wasted, bulk
         chosen = list(chosen)
         stack = [(covered, known, iter((first,)))]
         while stack:
@@ -332,10 +330,13 @@ def minimal_covering_code(
                     need = m + 1  # no sibling can beat it
                     continue
                 below = [w for w in known if w != c] if known and c in known else None
-                count = None if below else count_subtree(nc, k - 1, min_excl)
-                if count is not None:
-                    advance(nodes + count)
-                    continue
+                if not below and wasted <= bulk + _LOOP_NODE_COST * (nodes - bulk):
+                    count, whole = _subtree_nodes(balls, words, far, nc, k - 1, min_excl)
+                    if whole:
+                        bulk += count
+                        advance(nodes + count)
+                        continue
+                    wasted += count
                 cands = branch_words(nc)
                 chosen.append(c)
                 stack.append((nc, below, iter(cands[bisect_right(cands, min_excl):])))

@@ -111,6 +111,30 @@ def test_matches_reference_solver_node_for_node(q, n, radius):
         assert got.to_json_dict() == want.to_json_dict(), (q, n, radius, budget)
 
 
+@pytest.mark.parametrize("cost", [math.inf, -math.inf])
+@pytest.mark.parametrize("q,n,radius", [(2, 5, 1), (3, 3, 1)])
+def test_skipping_counts_changes_no_output(monkeypatch, q, n, radius, cost):
+    # A skipped count leaves its subtree to the loop, which visits the same
+    # nodes; so whether the rule that skips counts runs every count (loop
+    # nodes weigh inf) or none (-inf), each budget keeps what one call per
+    # node keeps
+    calls = []
+
+    def record(*args):
+        calls.append(None)
+        return _subtree_nodes(*args)
+
+    monkeypatch.setattr(solver_mod, "_subtree_nodes", record)
+    monkeypatch.setattr(solver_mod, "_LOOP_NODE_COST", cost)
+    sp = HammingSpace(q, n)
+    nodes = minimal_covering_code(sp, radius).nodes
+    for budget in sorted({0, 1, 5, 50, 300, nodes // 3, nodes // 2, nodes - 1}) + [None]:
+        got = minimal_covering_code(sp, radius, node_budget=budget)
+        want = reference_minimal_covering_code(sp, radius, node_budget=budget)
+        assert got.to_json_dict() == want.to_json_dict(), (cost, budget)
+    assert bool(calls) == (cost > 0)
+
+
 @pytest.mark.parametrize("q,n,radius", [(2, 4, 1), (2, 5, 1), (3, 3, 1), (2, 5, 2), (3, 4, 1)])
 def test_every_node_budget_matches_reference_solver(q, n, radius):
     # Most budgets stop inside a last level, which a bulk count or the loop
@@ -158,6 +182,30 @@ def test_deadline_reads_across_an_incumbent_step(monkeypatch):
     _deadline_runs_out_at_every_read(monkeypatch, 2, 7, 2, range(200, 230))
 
 
+def test_deadline_is_read_between_counts_that_give_up(monkeypatch):
+    # Every count gives up, each after charging a node cap's worth of nodes
+    # and none advancing ``nodes``; on [2]^12 at radius 1 the loop then runs
+    # node by node. The rule that skips counts lets at most two run between
+    # two deadline reads, and lets them run again as the loop makes up for
+    # the waste.
+    between = [0]  # counts since the last clock read
+
+    def count(*args):
+        between[-1] += 1
+        return subtree_mod._COUNT_NODES, False
+
+    def clock():  # passes the start and set-up reads and 1,024 deadline reads
+        between.append(0)
+        return 10.0 if len(between) > 1026 else 0.0
+
+    monkeypatch.setattr(solver_mod, "_subtree_nodes", count)
+    monkeypatch.setattr(time, "monotonic", clock)
+    res = minimal_covering_code(HammingSpace(2, 12), 1, time_budget=1.0)
+    monkeypatch.undo()
+    assert res.status == "budget_exceeded" and res.nodes == 256 * 1024
+    assert max(between) <= 2 and sum(between) >= 3, between
+
+
 @lru_cache(maxsize=16)
 def _cached_tables(q, n, radius):
     """The solver's ball tables: big-int masks, then what :func:`_subtree_nodes`
@@ -168,6 +216,13 @@ def _cached_tables(q, n, radius):
     masks = _ball_masks(rows)
     far = _far_columns(space, rows, radius)
     return masks, (np.ascontiguousarray(rows.T), _ball_words(rows), far)
+
+
+def _whole(got):
+    """A :func:`_subtree_nodes` result as the oracle gives it: None where it gave up."""
+    count, whole = got
+    assert type(count) is int and count >= 0  # nodes lands in the solve JSON
+    return count if whole else None
 
 
 def _bits(mask):
@@ -202,9 +257,8 @@ def _subtrees(draw):
 @given(case=_subtrees())
 def test_subtree_nodes_match_per_node_recursion(case):
     masks, tables, covered, k, min_excl = case
-    got = _subtree_nodes(*tables, covered, k, min_excl)
+    got = _whole(_subtree_nodes(*tables, covered, k, min_excl))
     assert got == reference_subtree_nodes(masks, covered, k, min_excl)
-    assert got is None or type(got) is int  # nodes lands in the solve JSON
 
 
 def test_subtree_nodes_give_up_past_the_cap(monkeypatch):
@@ -213,16 +267,17 @@ def test_subtree_nodes_give_up_past_the_cap(monkeypatch):
     masks, tables = _cached_tables(2, 6, 1)
     want = reference_subtree_nodes(masks, masks[0], 10, 4)
     assert want > subtree_mod._COUNT_NODES
-    assert _subtree_nodes(*tables, masks[0], 10, 4) is None
+    got, whole = _subtree_nodes(*tables, masks[0], 10, 4)
+    assert not whole and subtree_mod._COUNT_NODES < got <= want  # what it had counted
     monkeypatch.setattr(subtree_mod, "_COUNT_NODES", want)
-    assert _subtree_nodes(*tables, masks[0], 10, 4) == want
+    assert _subtree_nodes(*tables, masks[0], 10, 4) == (want, True)
 
 
 def _count_peak(tables, covered, k, min_excl):
     """The count of :func:`_subtree_nodes` and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        got = _subtree_nodes(*tables, covered, k, min_excl)
+        got = _whole(_subtree_nodes(*tables, covered, k, min_excl))
         return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,7 +326,7 @@ def test_subtree_nodes_read_the_words_past_a_full_prefix():
         for k in (1, 2, 3):
             for min_excl in (-1, prefix - 5, prefix + 3):
                 covered = (1 << prefix) - 1
-                got = _subtree_nodes(*tables, covered, k, min_excl)
+                got = _whole(_subtree_nodes(*tables, covered, k, min_excl))
                 assert got == reference_subtree_nodes(masks, covered, k, min_excl), (prefix, k)
 
 
@@ -284,7 +339,7 @@ def test_canonical_pass_counts_no_subtree_holding_a_known_completion(monkeypatch
 
     def record(*args):
         got = _subtree_nodes(*args)
-        gave_up.append(got is None and args[-1] >= 0)
+        gave_up.append(not got[1] and args[-1] >= 0)
         return got
 
     monkeypatch.setattr(solver_mod, "_subtree_nodes", record)
@@ -292,6 +347,29 @@ def test_canonical_pass_counts_no_subtree_holding_a_known_completion(monkeypatch
     res = minimal_covering_code(sp, radius)
     assert gave_up and not any(gave_up)
     assert res.to_json_dict() == reference_minimal_covering_code(sp, radius).to_json_dict()
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 5, 1), (2, 6, 1), (2, 7, 2)])
+def test_solve_makes_the_same_counts_every_run(monkeypatch, q, n, radius):
+    # Which subtrees are counted in bulk depends on the search alone: a second
+    # solve whose counts that give up each take a millisecond longer makes
+    # the same calls, so a rule that read the clock would fail here
+    def calls(delay):
+        made = []
+
+        def record(balls, words, far, covered, k, min_excl):
+            made.append((covered, k, min_excl))
+            got = _subtree_nodes(balls, words, far, covered, k, min_excl)
+            if not got[1]:
+                time.sleep(delay)
+            return got
+
+        monkeypatch.setattr(solver_mod, "_subtree_nodes", record)
+        minimal_covering_code(HammingSpace(q, n), radius)
+        return made
+
+    first = calls(0.0)
+    assert first and calls(1e-3) == first
 
 
 @pytest.mark.parametrize("q,n,radius", [(2, 6, 1), (2, 7, 2)])
@@ -425,7 +503,7 @@ def test_subtree_nodes_settle_last_levels_by_distance(q, n, radius, kind, words,
     assert not first and any(near for near, _ in rows)
     assert any(near and done for near, done in rows) == completes
     assert all(near for near, done in rows if done)  # the rule clears none of these
-    got = _subtree_nodes(*tables, covered, 2, min_excl)
+    got = _whole(_subtree_nodes(*tables, covered, 2, min_excl))
     assert got == reference_subtree_nodes(masks, covered, 2, min_excl)
     assert (got is None) == completes
 
