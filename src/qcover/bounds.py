@@ -400,12 +400,12 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
     factored form. The outer pass, :func:`_golden_min_y`, decides a
     comparison from the closed-form inner optimum when the two estimates
     differ by more than the sum of their error bounds, and runs the inner
-    searches only otherwise (48-53 times at R = 6, 200 and 1000, 92-102 at
+    searches only otherwise (47-52 times at R = 6, 200 and 1000, 90-100 at
     10^9 to 10^12), so the result is the plain nested search's, float for
-    float. Three outer bracket seeds plus a local polish hedge against flat
-    valleys, and for R >= 6 the chain-check parameter point joins the
-    candidate pool, so the result never loses to it. Raises InfeasibleParamsError when the best
-    bound is inf, as from R near 2^60.
+    float. Two outer seeds, the whole range and its right half, plus a
+    local polish hedge against flat valleys; for R >= 6 the chain point
+    joins the pool, so the result can never lose to it. Raises
+    InfeasibleParamsError when the best bound is inf, as from R near 2^60.
     """
     if R < 1:
         raise InfeasibleParamsError(f"requires R >= 1, got {R}")
@@ -413,7 +413,7 @@ def optimize_parametric_bound(R: int) -> OptimizationResult:
     y_hi = 10.0 * R * math.log(R + 2.0) + 10.0
     u_lo, u_hi = math.log(1e-6), math.log(y_hi - 1.0)
     u_mid = 0.5 * (u_lo + u_hi)
-    candidates = [_golden_min_y(R, a, b) for a, b in ((u_lo, u_hi), (u_lo, u_mid), (u_mid, u_hi))]
+    candidates = [_golden_min_y(R, a, b) for a, b in ((u_lo, u_hi), (u_mid, u_hi))]
     if R >= 6:
         xc, yc = _chain_params(R)
         if 1.0 < yc < y_hi:

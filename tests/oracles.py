@@ -487,6 +487,12 @@ def mp_classic_bound(q, R):
     return v if q == 2 else 2 * v
 
 
+def mp_inner_argmin(R, y):
+    """The x* > R ln y where the bound at fixed y is least, at 40 digits:
+    x* - ln(1 + x*) = R ln y, i.e. x* = -1 - W_{-1}(-1/(e y^R))."""
+    return -1 - mp.lambertw(-1 / (mp.e * mp.mpf(y) ** R), -1).real
+
+
 def mp_optimal_bound(R):
     """Minimum of the parametric bound over {y > 1, x > R ln y}, at 40 digits.
 
@@ -500,9 +506,7 @@ def mp_optimal_bound(R):
     Rm = mp.mpf(R)
 
     def at(v):
-        c = (1 + mp.exp(v)) ** Rm  # y^R
-        x = -1 - mp.lambertw(-1 / (mp.e * c), -1).real
-        return (1 + mp.exp(-v)) ** Rm * (1 + x)
+        return (1 + mp.exp(-v)) ** Rm * (1 + mp_inner_argmin(Rm, 1 + mp.exp(v)))
 
     lo = mp.log(mp.mpf("1e-12"))
     hi = mp.log(2 * (10 * Rm * mp.log(Rm + 2) + 10))

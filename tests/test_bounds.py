@@ -42,6 +42,7 @@ from oracles import (
     mp_chain_check,
     mp_classic_bound,
     mp_closed_form_bound,
+    mp_inner_argmin,
     mp_nested_bound,
     mp_optimal_bound,
     mp_parametric_bound,
@@ -345,7 +346,8 @@ def test_optimizer_matches_mp_optimal_bound():
 
 
 # at R = 10^8, 10^10 and 10^12 the bracket term dominates the estimates' error bounds
-@pytest.mark.parametrize("R", [*range(1, 61), 100, 200, 1000, 10_000, 10**5, 10**6, 10**8, 10**10, 10**12])
+@pytest.mark.parametrize("R", [*range(1, 61), 100, 200, 1000, 10_000, 10**5, 10**6, 10**8, 10**10, 10**12,
+                               10**15, 2**54])
 def test_optimizer_equals_reference_float_for_float(R):
     assert optimize_parametric_bound(R) == reference_optimize_parametric_bound(R)
 
@@ -476,6 +478,48 @@ def test_optimizer_runs_at_most_60_inner_searches(R, monkeypatch):
     monkeypatch.setattr(bounds, "_golden_min_x", lambda *args: calls.append(args) or inner(*args))
     optimize_parametric_bound(R)
     assert 0 < len(calls) <= 60
+
+
+@pytest.mark.parametrize("R", [*range(1, 301), 10**4, 10**6, 10**9, 10**12, 2**54])
+def test_no_outer_seed_in_the_left_half_can_win(R):
+    # d ln g/du = (R/y)((y - 1)/x* - 1) for g = (y/(y-1))^R (1 + x*), and
+    # y - 1 - x* is convex in y with one zero; so y - 1 < x* at u_mid means g
+    # falls across the whole left half. A search there then loses to the
+    # right half's, so it gives neither the result nor the polish's centre
+    u_lo, u_hi = optimizer_u_range(R)
+    u_mid = 0.5 * (u_lo + u_hi)
+    y_mid = 1.0 + math.exp(u_mid)
+    assert y_mid - 1.0 < mp_inner_argmin(R, y_mid), R
+    left, _, _ = reference_golden_min_y(R, u_lo, u_mid)
+    assert left > reference_golden_min_y(R, u_mid, u_hi)[0], R
+    assert left > reference_optimize_parametric_bound(R).bound, R
+
+
+@pytest.mark.parametrize("R", [1, 2, 6, 20, 100])
+def test_inner_min_estimate_falls_across_the_left_half(R):
+    x_span = 20.0 * math.log(R + 2.0)
+    u_lo, u_hi = optimizer_u_range(R)
+    u_mid = 0.5 * (u_lo + u_hi)
+    values = []
+    for k in range(100):
+        y = 1.0 + math.exp(u_lo + (u_mid - u_lo) * k / 99)
+        estimate = _inner_min_estimate(R * math.log(y), _ratio_pow(y, R), x_span)
+        if estimate is not None:
+            values.append(estimate[0])
+    finite = [g for g in values if g < math.inf]
+    assert len(finite) >= 30  # 38 at R = 100, 100 below it
+    assert values == [math.inf] * (len(values) - len(finite)) + finite, R
+    assert all(g > h for g, h in zip(finite, finite[1:])), R
+
+
+@pytest.mark.parametrize("R", [1, 6, 200, 10**6])
+def test_optimizer_runs_three_outer_searches(R, monkeypatch):
+    # the whole u range, its right half, and a polish around the best point
+    calls = []
+    outer = bounds._golden_min_y
+    monkeypatch.setattr(bounds, "_golden_min_y", lambda *args: calls.append(args) or outer(*args))
+    optimize_parametric_bound(R)
+    assert len(calls) == 3, calls
 
 
 def test_optimizer_rejects_bad_R():
@@ -661,7 +705,7 @@ def test_a_failing_helper_leaves_the_serial_rows(monkeypatch, forks, fault):
             calls.append(args)
             if fault == "stall":
                 time.sleep(60)
-            if len(calls) > (12 if fault == "raise after 3 rows" else 0):  # 4 searches a row
+            if len(calls) > (9 if fault == "raise after 3 rows" else 0):  # 3 searches a row
                 raise RuntimeError("helper fault")
         return outer(*args)
 
