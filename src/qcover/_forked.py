@@ -2,16 +2,15 @@
 
 This is the process side of :func:`qcover.bounds.bound_table_rows`, whose
 rows are independent. :func:`forked_rows` computes rows from the bottom of
-the range upward. Where fork() exists, at least two CPUs are available and
-only one Python thread runs, it forks one helper process once the rows left
-are predicted, from the time of those done, to take more than a few
-milliseconds. The helper computes rows from the top of the range downward
-and sends each through a pipe as packed doubles; after each row this
-process reads what has arrived, without waiting, and stops computing when
-its next row has arrived. A helper that fails, dies or stalls only leaves
-more rows to this process, so the rows, and any exception, are the serial
-ones. The helper is killed and reaped when the generator finishes, is
-closed or raises.
+the range upward. Where the table has at least two rows, fork() exists, at
+least two CPUs are available and only one Python thread runs, it forks one
+helper process before the first row. The helper computes rows from the top
+of the range downward and sends each through a pipe as packed doubles;
+after each row this process reads what has arrived, without waiting, and
+stops computing when its next row has arrived. A helper that fails, dies or
+stalls only leaves more rows to this process, so the rows, and any
+exception, are the serial ones. The helper is killed and reaped when the
+generator finishes, is closed or raises.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ import os
 import signal
 import struct
 import threading
-import time
 from typing import Callable, Iterator, Optional
-
-#: a helper costs this process about 1 ms on a 2-vCPU host and saves at
-#: most half of the rows left; it broke even on 4 rows left of 0.84 ms each,
-#: so it starts only when the rows left are predicted to take longer than this
-HELPER_MIN_S = 4e-3
 
 
 def _can_fork() -> bool:
@@ -67,15 +60,16 @@ def _fork_helper(row: Callable[[int], tuple], packed: struct.Struct, r_low: int,
 def forked_rows(
     row: Callable[[int], tuple], packed: struct.Struct, r_min: int, r_max: int, may_fork: bool
 ) -> Iterator[tuple]:
-    """Yield ``row(R)`` for R = r_min..r_max in order, with a helper process
-    where ``may_fork`` and the host allow one.
+    """Yield ``row(R)`` for R = r_min..r_max in order. Where ``may_fork``
+    holds, r_min < r_max and the host allows it, a helper process forked
+    before the first row computes the rows of r_max down to r_min + 1.
 
     ``row(R)`` returns R followed by the values ``packed`` packs.
     """
-    can_fork = may_fork and _can_fork()
     helper = None
+    if may_fork and r_min < r_max and _can_fork():
+        helper = _fork_helper(row, packed, r_min + 1, r_max)
     sent = bytearray()  # the helper's rows of r_max, r_max - 1, ...
-    start = time.perf_counter()
     R = r_min
     try:
         while R <= r_max - len(sent) // packed.size:
@@ -86,11 +80,6 @@ def forked_rows(
                     sent += os.read(helper[1], 1 << 16)
                 except BlockingIOError:
                     pass
-            elif can_fork:
-                per_row = (time.perf_counter() - start) / (R - r_min)
-                if per_row * (r_max - R + 1) > HELPER_MIN_S:
-                    helper = _fork_helper(row, packed, R, r_max)
-                    can_fork = False
             yield done
         for R in range(R, r_max + 1):
             yield (R, *packed.unpack_from(sent, (r_max - R) * packed.size))

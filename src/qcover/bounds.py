@@ -28,10 +28,10 @@ range; the optimizer's own evaluations saturate to inf instead.
 
 The bound table's rows are independent optimizations. Where fork() exists
 and at least two CPUs are available, bound_table_rows forks one helper
-process (qcover._forked) that computes rows from the top of the range down
-while the caller's process computes them from the bottom up. The rows are
-those of the serial loop either way, and a helper that fails only leaves
-more rows to the caller's process.
+process (qcover._forked) for a table of two or more rows. It computes
+rows from the top of the range down, the caller's process from the bottom
+up. The rows are those of the serial loop either way, and a helper that
+fails only leaves more rows to the caller's process.
 """
 
 from __future__ import annotations

@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("table", help="CSV sweep of optimized and closed-form bounds")
     p.add_argument("--R-min", type=int, required=True)
     p.add_argument("--R-max", type=int, required=True)
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds_table)
 

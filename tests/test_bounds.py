@@ -681,22 +681,32 @@ def test_table_rows_with_a_helper_equal_the_one_cpu_rows(monkeypatch, forks):
     assert all(math.isnan(row[5]) for row in rows[:5]) and not math.isnan(rows[5][5])
 
 
-@pytest.mark.parametrize("min_s", [0.0, math.inf])
-def test_short_tables_on_both_sides_of_the_helper_start_rule(monkeypatch, forks, min_s):
-    monkeypatch.setattr(_forked, "HELPER_MIN_S", min_s)
+def test_a_helper_starts_for_every_table_of_two_rows_or_more(monkeypatch, forks):
     ranges = [(1, 1), (1, 2), (5, 7), (6, 9), (40, 44)]
     for r_min, r_max in ranges:
         rows = list(bound_table_rows(r_min, r_max))
         assert [row[0] for row in rows] == list(range(r_min, r_max + 1))
         assert _bits(rows) == _bits(_serial_rows(monkeypatch, r_min, r_max))
-    # a helper starts once a row is left and the rule allows it
-    assert len(forks) == (4 if min_s == 0.0 else 0) and None not in forks
+        assert len(forks) == (r_min < r_max) and None not in forks
+        forks.clear()
     _no_child_left()
+
+
+def test_a_table_with_a_helper_reads_no_clock(monkeypatch, forks):
+    def no_clock():
+        raise AssertionError("clock read")
+
+    with monkeypatch.context() as m:
+        m.setattr(time, "perf_counter", no_clock)
+        m.setattr(time, "monotonic", no_clock)
+        rows = list(bound_table_rows(1, 40))
+    assert len(forks) == 1 and forks[0] is not None
+    _no_child_left()
+    assert _bits(rows) == _bits(_serial_rows(monkeypatch, 1, 40))
 
 
 @pytest.mark.parametrize("fault", ["raise at once", "raise after 3 rows", "stall"])
 def test_a_failing_helper_leaves_the_serial_rows(monkeypatch, forks, fault):
-    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
     parent, calls = os.getpid(), []
     outer = bounds._golden_min_y
 
@@ -721,7 +731,6 @@ def test_a_failing_helper_leaves_the_serial_rows(monkeypatch, forks, fault):
 @pytest.mark.parametrize("fault", [None, "raise at once"])
 def test_a_table_where_sigchld_is_ignored(monkeypatch, forks, fault):
     # the kernel reaps the helper itself, so it may be gone before the kill
-    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
     parent, outer = os.getpid(), bounds._golden_min_y
 
     def failing(*args):
@@ -741,7 +750,6 @@ def test_a_table_where_sigchld_is_ignored(monkeypatch, forks, fault):
 
 
 def test_closing_the_table_early_leaves_no_child(monkeypatch, forks):
-    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
     rows = bound_table_rows(1, 300)
     assert next(rows)[0] == 1
     assert len(forks) == 1 and forks[0] is not None
@@ -764,7 +772,6 @@ def test_a_table_into_the_first_infinite_optimum_raises_as_serial(monkeypatch, f
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if infinite(mid) else (mid, hi)
-    monkeypatch.setattr(_forked, "HELPER_MIN_S", 0.0)
     rows, error = _table_until_error(hi - 3, hi + 2)
     assert len(forks) == 1 and forks[0] is not None
     _no_child_left()

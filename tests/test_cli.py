@@ -420,8 +420,7 @@ def test_bounds_eval_infeasible_exits_three(capsys):
 
 
 def test_bounds_table_csv(tmp_path, capsys):
-    status, out, _ = run(capsys, "bounds", "table", "--R-min", "5", "--R-max", "7",
-                         "--format", "csv")
+    status, out, _ = run(capsys, "bounds", "table", "--R-min", "5", "--R-max", "7")
     assert status == 0
     lines = out.strip().splitlines()
     assert lines[0] == "R,t_feas,x_opt,y_opt,bound_opt,cor_new,cor_ksv_q2,cor_ksv_q3,ratio_new_over_ksv2"
@@ -436,6 +435,10 @@ def test_bounds_table_csv(tmp_path, capsys):
                        "--out", str(out_path))
     assert status == 0
     assert out_path.read_text() == out
+    # the table has one format, so there is no --format to choose it
+    status, _, err = run(capsys, "bounds", "table", "--R-min", "5", "--R-max", "7",
+                         "--format", "csv")
+    assert status == 2 and "--format" in err
 
 
 def test_bounds_check_corollary(capsys):
