@@ -1,5 +1,6 @@
 """Bound formulas, their identities, the chain audit, and the optimizer."""
 
+import itertools
 import math
 import os
 import random
@@ -681,10 +682,22 @@ def test_table_rows_with_a_helper_equal_the_one_cpu_rows(monkeypatch, forks):
     assert all(math.isnan(row[5]) for row in rows[:5]) and not math.isnan(rows[5][5])
 
 
-def test_a_helper_starts_for_every_table_of_two_rows_or_more(monkeypatch, forks):
+@pytest.mark.parametrize("per_read_s", [0.0, math.inf])
+def test_short_tables_on_both_sides_of_the_helper_start_rule(monkeypatch, forks, per_read_s):
+    # clocks that make the rows look free (0.0) or endless (inf): a helper
+    # still starts for every table of two rows or more, and for no other
+    reads = itertools.count()
+
+    def clock():
+        n = next(reads)
+        return 0.0 if n == 0 else per_read_s * n
+
     ranges = [(1, 1), (1, 2), (5, 7), (6, 9), (40, 44)]
     for r_min, r_max in ranges:
-        rows = list(bound_table_rows(r_min, r_max))
+        with monkeypatch.context() as m:
+            m.setattr(time, "perf_counter", clock)
+            m.setattr(time, "monotonic", clock)
+            rows = list(bound_table_rows(r_min, r_max))
         assert [row[0] for row in rows] == list(range(r_min, r_max + 1))
         assert _bits(rows) == _bits(_serial_rows(monkeypatch, r_min, r_max))
         assert len(forks) == (r_min < r_max) and None not in forks
