@@ -9,8 +9,8 @@ byte as ``json.dumps(..., sort_keys=True, indent=2)`` would write it, and
 with q <= 10 it streams to and from disk through one reused block of
 :data:`BLOCK_ROWS` rows, never held whole. Any other valid JSON layout is
 read by ``json``, with the same result. A density is an exact
-``Fraction``. Exhaustive covering verification asks
-:func:`~qcover.hamming.uncovered_indices` for the words the code misses.
+``Fraction``. Exhaustive covering verification takes the lowest set bit
+of :func:`~qcover.hamming._hole_mask`, the words the code misses as a mask.
 Sampled verification spot-checks random words on spaces too large to
 enumerate, in one loop over batches of seeded samples whose digits are
 drawn in bulk, bit for bit the ``randrange`` stream. A batch is tested by
@@ -38,6 +38,7 @@ from .hamming import (
     INDEX_LIMIT,
     HammingSpace,
     Word,
+    _hole_mask,
     ball_offsets,
     ball_volume,
     check_radius,
@@ -45,7 +46,6 @@ from .hamming import (
     index_word,
     indices_to_ascii,
     indices_to_digits,
-    uncovered_indices,
 )
 
 
@@ -136,10 +136,13 @@ def verify_covering(
         sp.check_enumerable(guard)
     except SpaceTooLargeError as exc:
         raise SpaceTooLargeError(f"{exc}; raise guard= or use verify_covering_sampled") from None
-    holes = uncovered_indices(sp, code.indices, radius)
-    if holes.size == 0:
+    holes = _hole_mask(sp, code.indices, radius)
+    first = int(np.argmax(holes != 0))  # the mask's first word holding a hole, else 0
+    bits = int(holes[first])
+    if not bits:
         return CoverVerdict(True)
-    return CoverVerdict(False, index_word(sp, int(holes[0])))
+    lowest = (bits & -bits).bit_length() - 1
+    return CoverVerdict(False, index_word(sp, first * (sp.size // len(holes)) + lowest))
 
 
 def verify_covering_sampled(

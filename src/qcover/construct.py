@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import floor_div_real, require_feasible
 from .codes import Code, density, density_to_dict
@@ -32,6 +33,9 @@ from .solver import EXACT_SOLVER_GUARD, GREEDY_COVER_GUARD, greedy_ball_cover, m
 #: Node budget of an exact base-case solve; past it the construction keeps
 #: the solver's incumbent and records the base as "exact-incumbent".
 EXACT_BASE_NODE_BUDGET = 200_000
+
+#: Words of runs :func:`_level_words` writes per step.
+_FOLD_WORDS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +185,30 @@ BASE_POLICIES = ("auto", "trivial", "exact", "greedy")
 
 
 def _level_words(X: np.ndarray, N_bar: np.ndarray, block: int, k2: np.ndarray) -> np.ndarray:
-    """X x [q]^r then N_bar x K_r as word indices (prefix * ``block`` + suffix), sorted.
+    """X x [q]^r then N_bar x K_r as word indices (prefix * ``block`` + suffix), in prefix order.
 
-    Two sorted runs, not deduplicated. A stable sort merges them faster but raised peak RSS.
+    X and N_bar are sorted and disjoint, so each prefix owns one run of the
+    output: ``block`` words for a prefix of X, len(``k2``) for one of N_bar,
+    starting after the runs of every smaller prefix. The runs are written in
+    place through a window of the output, :data:`_FOLD_WORDS` words of them
+    (or one run) at a time, so nothing is sorted and the peak stays near
+    the output's size.
+    A prefix in both sets would leave len(``k2``) words unwritten, and their
+    zeros break the order :class:`~qcover.codes.Code` checks.
     """
-    x_part = (X[:, None] * block + np.arange(block)).ravel()
-    nbar_part = (N_bar[:, None] * block + k2).ravel()
-    return np.sort(np.concatenate((x_part, nbar_part)))
+    k = len(k2)
+    out = np.zeros(len(X) * block + len(N_bar) * k, dtype=np.int64)
+    parts = ((X, block, np.arange(block), N_bar, k), (N_bar, k, k2, X, block))
+    for prefixes, width, suffixes, others, other_width in parts:
+        if not (len(prefixes) and width):
+            continue
+        # after the runs of the smaller prefixes of this set and of the other
+        starts = np.arange(len(prefixes)) * width + np.searchsorted(others, prefixes) * other_width
+        runs = sliding_window_view(out, width, writeable=True)
+        step = max(1, _FOLD_WORDS // width)
+        for i in range(0, len(prefixes), step):
+            runs[starts[i : i + step]] = prefixes[i : i + step, None] * block + suffixes
+    return out
 
 
 def _base_code(

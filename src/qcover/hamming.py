@@ -234,6 +234,14 @@ def _max_length(q: int, n: int, limit: int) -> int:
     return k
 
 
+#: Runs of at most this many words along the kernel's (A, q, B) view are
+#: short. Numpy starts one inner loop per run, which costs more than a few
+#: words do, so the kernel walks such views A-innermost instead: one strided
+#: loop of A words per slice. On the 2^20 packed words of [2]^26, runs of 8
+#: words were already faster walked B-innermost, where strides miss the cache.
+_SHORT_RUN = 4
+
+
 def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> np.ndarray:
     """Grow membership masks over word indices by ``radius`` Hamming steps.
 
@@ -249,7 +257,12 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
     one mask per packed digit: the positions where that digit is 0 (bits
     above q^k never reach those below). Along any other coordinate a step
     works on an (A, q, B) view of the mask with that coordinate's symbols on
-    the middle axis: it ORs the q slices together and back into each.
+    the middle axis: it ORs the q slices together and back into each. Where
+    the contiguous runs of B words are short (at most :data:`_SHORT_RUN`, as
+    just above the packed digits), the view is transposed to (B, q, A) and
+    walked in C order, so each ufunc loop runs over A words at a stride, not
+    over B words A times. That changes the order of the work, not the number
+    of calls, so small masks pay nothing for it.
     Packed masks must hold ``uint64`` words; narrower words would drop bits.
     """
     check_radius(radius)
@@ -266,54 +279,89 @@ def expand_within_radius(space: HammingSpace, mask: np.ndarray, radius: int) -> 
         return mask.copy()
     grid = mask.reshape(-1)
     zero = [np.uint64(sum(1 << p for p in range(q**k) if p // q**t % q == 0)) for t in range(k)]
+    low = np.empty_like(grid) if k else None  # one buffer for every packed digit's step
     for _ in range(min(radius, n)):
         out = grid.copy()
         for axis in range(n - k):
             # (A, q, B) views put the symbols of this coordinate on axis 1
-            view = (q**axis, q, grid.size // q ** (axis + 1))
-            g, o = grid.reshape(view), out.reshape(view)
+            a, b = q**axis, grid.size // q ** (axis + 1)
+            g, o = grid.reshape(a, q, b), out.reshape(a, q, b)
+            if b <= _SHORT_RUN:
+                g, o = g.transpose(2, 1, 0), o.transpose(2, 1, 0)
             if q == 2:
-                o[:, 0] |= g[:, 1]
-                o[:, 1] |= g[:, 0]
+                np.bitwise_or(o[:, 0], g[:, 1], out=o[:, 0], order="C")
+                np.bitwise_or(o[:, 1], g[:, 0], out=o[:, 1], order="C")
             else:
-                any_symbol = g[:, 0] | g[:, 1]
+                any_symbol = np.bitwise_or(g[:, 0], g[:, 1], order="C")
                 for c in range(2, q):
-                    any_symbol |= g[:, c]
-                o |= any_symbol[:, None]
+                    np.bitwise_or(any_symbol, g[:, c], out=any_symbol, order="C")
+                np.bitwise_or(o, any_symbol[:, None], out=o, order="C")
         for t in range(k):
             # symbol c of digit t is (grid >> c*q^t) & zero[t]; OR all q into
-            # the symbol-0 positions, then copy that back out to every symbol
-            stride = q**t
-            low = grid.copy()
-            for c in range(1, q):
-                low |= grid >> np.uint64(c * stride)
+            # the symbol-0 positions, then shift that back out to every symbol
+            stride = np.uint64(q**t)
+            np.right_shift(grid, stride, out=low)
+            low |= grid
+            for c in range(2, q):
+                low |= grid >> np.uint64(c) * stride
             low &= zero[t]
             out |= low
             for c in range(1, q):
-                out |= low << np.uint64(c * stride)
+                low <<= stride
+                out |= low
         grid = out
     return grid.reshape(mask.shape)
+
+
+#: Indices packed into the member mask per step of :func:`_hole_mask`.
+_PACK_BLOCK = 1 << 15
 
 
 def uncovered_indices(space: HammingSpace, indices, radius: int) -> np.ndarray:
     """Sorted int64 indices of the words farther than ``radius`` from every given index.
 
-    One :func:`expand_within_radius` call on the packed mask of ``indices``
-    (a byte per word when q > 64); empty exactly when those words cover the
-    space. Raises ValueError for an index outside [0, q^n).
+    Every set bit of :func:`_hole_mask`, unpacked; empty exactly when those
+    words cover the space. Raises ValueError for an index outside [0, q^n).
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= space.size):
-        raise ValueError(f"word indices must lie in [0, {space.size}) for [{space.q}]^{space.n}")
-    width = space.q ** _max_length(space.q, space.n, 64)
-    mask = np.zeros(space.size, dtype=bool)
-    mask[indices] = True
-    if width > 1:
-        mask = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")
-        mask = np.pad(mask, ((0, 0), (0, 8 - mask.shape[1]))).view("<u8").reshape(-1)
-    holes = expand_within_radius(space, mask, radius)
-    holes ^= holes.dtype.type((1 << width) - 1)  # flip the word bits; the padding stays 0
+    holes = _hole_mask(space, indices, radius)
     if not holes.any():
         return np.empty(0, dtype=np.int64)
+    width = space.size // len(holes)
     return np.flatnonzero(
         np.unpackbits(holes.reshape(len(holes), -1).view(np.uint8), axis=1, count=width, bitorder="little"))
+
+
+def _hole_mask(space: HammingSpace, indices, radius: int) -> np.ndarray:
+    """The words farther than ``radius`` from every given index, as a mask.
+
+    For q <= 64 the mask is packed as :func:`expand_within_radius` takes it,
+    q^(n-k) uint64 words of q^k bits (so word index i is bit i % q^k of word
+    i // q^k) with the padding bits above q^k clear; for q > 64 it is one
+    bool per word. The member mask is packed straight from the sorted
+    indices, :data:`_PACK_BLOCK` at a time, each run sharing a word ORed
+    into it, so no q^n-byte mask is made for q <= 64. One
+    :func:`expand_within_radius` call grows it, and the flip leaves the
+    holes. Raises ValueError for an index outside [0, q^n).
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if np.any(indices[1:] < indices[:-1]):
+        indices = np.sort(indices)
+    if indices.size and (indices[0] < 0 or indices[-1] >= space.size):
+        raise ValueError(f"word indices must lie in [0, {space.size}) for [{space.q}]^{space.n}")
+    k = _max_length(space.q, space.n, 64)
+    width = space.q**k
+    if width == 1:
+        mask = np.zeros(space.size, dtype=bool)
+        mask[indices] = True
+    else:
+        mask = np.zeros(space.size // width, dtype=np.uint64)
+        for start in range(0, indices.size, _PACK_BLOCK):
+            block = indices[start : start + _PACK_BLOCK]
+            word = block // width  # floor division by a scalar is the fast form
+            bits = np.uint64(1) << (block - word * width).view(np.uint64)
+            first = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))  # runs' starts
+            # |=, not =: a run split between two blocks keeps both halves
+            mask[word[first]] |= np.bitwise_or.reduceat(bits, first)
+    holes = expand_within_radius(space, mask, radius)
+    holes ^= holes.dtype.type((1 << width) - 1)  # flip the word bits; the padding stays 0
+    return holes

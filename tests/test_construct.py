@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,25 @@ def test_level_words_equal_sort_and_dedup(q, r_prime, r, data):
     got = _level_words(X, N_bar, block, k2)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert len(got) == len(X) * block + len(N_bar) * len(k2)
+
+
+def test_level_words_peak_stays_near_its_output():
+    # a level of about 2^20 words, most in X x [q]^r: the runs are written
+    # into the output, so the peak is the output plus one step's runs; a
+    # sort of the two parts' concatenation would hold three outputs
+    rng = np.random.default_rng(0)
+    prefixes = rng.permutation(1 << 10)
+    X, N_bar = np.sort(prefixes[:450]), np.sort(prefixes[450:750])
+    block = 1 << 11
+    k2 = np.sort(rng.choice(block, 300, replace=False))
+    tracemalloc.start()
+    try:
+        words = _level_words(X, N_bar, block, k2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 450 * block + 300 * 300 and np.all(words[1:] > words[:-1])
+    assert peak < 1.5 * words.nbytes, peak / words.nbytes
 
 
 def test_construct_rejects_overlapping_prefix_sets(monkeypatch):

@@ -1,19 +1,23 @@
 """Hamming-space primitives against brute-force enumeration."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcover.hamming as hamming_mod
 from qcover import (
+    Code,
     HammingSpace,
     SpaceTooLargeError,
     ball_volume,
     hamming_distance,
     index_word,
+    verify_covering,
     word_index,
 )
 from qcover.hamming import (
@@ -161,10 +165,12 @@ def _check_uncovered(sp, members, radius):
 # largest k <= n with q^k <= 64: q^k bits, padded above for q = 3, 5 and 7
 # (27, 25 and 49 bits), exactly 64 for q = 64, and k = 0 (a byte per word)
 # for q = 65 and 128. The shapes put n below, at and above k for each q, and
-# cover n = 0.
+# cover n = 0. Along an unpacked coordinate the kernel walks short runs
+# (B <= 4 words) A-innermost: (2, 16) and (3, 10) have runs of 1..512 and
+# 1..729 words, against up to 512 and 729 rows, so both walks meet many rows.
 KERNEL_SHAPES = [
-    (2, 0), (2, 3), (2, 6), (2, 9),
-    (3, 0), (3, 2), (3, 3), (3, 5),
+    (2, 0), (2, 3), (2, 6), (2, 9), (2, 16),
+    (3, 0), (3, 2), (3, 3), (3, 5), (3, 10),
     (4, 2), (4, 3), (4, 4),
     (5, 1), (5, 2), (5, 3),
     (7, 1), (7, 2), (7, 3),
@@ -184,6 +190,40 @@ def test_expand_matches_ball_oracle(q, n):
             _check_uncovered(sp, np.array(chosen, dtype=np.int64), radius)
 
 
+@pytest.mark.parametrize("q,n,payload", [
+    (2, 16, ()), (3, 10, ()), (4, 7, ()), (5, 5, ()), (2, 9, (8,)), (3, 6, (4,)), (2, 6, (1,)),
+])
+def test_short_runs_walk_to_the_same_mask(monkeypatch, q, n, payload):
+    # the kernel decides per coordinate whether to walk a view A- or
+    # B-innermost; walking every view either way gives the same masks
+    sp = HammingSpace(q, n)
+    k = max(k for k in range(n + 1) if q**k <= 64) if not payload else 0
+    rng = np.random.default_rng(q * n)
+    words = rng.integers(0, 2**64, (3, q ** (n - k), *payload), dtype=np.uint64)
+    mask = words[0] & words[1] & words[2]  # an eighth of the bits set
+    for radius in (1, 2):
+        got = []
+        for short in (0, 1 << 62):
+            monkeypatch.setattr(hamming_mod, "_SHORT_RUN", short)
+            got.append(expand_within_radius(sp, mask, radius))
+        assert np.array_equal(got[0], got[1]), (q, n, payload, radius)
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 9, 2), (2, 6, 1), (3, 5, 1), (3, 4, 2)])
+def test_expand_identity_rows_give_each_words_ball(q, n, radius):
+    # the solver's ball rows: row i of a (q^n, W) uint64 payload holds bit i
+    # alone, and expands to the ball of word i; W = 8 and 4 for [2]^9 and
+    # [3]^5, so the last coordinate's runs are short
+    sp = HammingSpace(q, n)
+    m = sp.size
+    eye = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
+    eye[np.arange(m), np.arange(m) >> 3] = 1 << (np.arange(m) & 7)
+    rows = expand_within_radius(sp, eye.view("<u8"), radius)
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=m, bitorder="little")
+    for i in range(m):
+        assert set(np.flatnonzero(bits[i]).tolist()) == ball_union(sp, [i], radius), (q, n, i)
+
+
 @st.composite
 def _spaces(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 64, 65, 128]))
@@ -201,6 +241,42 @@ def _spaces(draw):
 def test_expand_matches_ball_oracle_random(sp, radius, density, seed):
     mask = np.random.default_rng(seed).random(sp.size) < density
     _check_uncovered(sp, np.flatnonzero(mask), radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sp=_spaces(),
+    radius=st.integers(0, 9),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sp=HammingSpace(64, 1), radius=0, density=0.5, seed=1)
+@example(sp=HammingSpace(64, 2), radius=1, density=0.005, seed=2)
+@example(sp=HammingSpace(65, 2), radius=1, density=0.005, seed=3)
+@example(sp=HammingSpace(128, 1), radius=0, density=0.9, seed=4)
+@example(sp=HammingSpace(3, 5), radius=1, density=0.0, seed=5)  # the empty code
+def test_verify_witness_is_the_first_uncovered_index(sp, radius, density, seed):
+    members = np.flatnonzero(np.random.default_rng(seed).random(sp.size) < density)
+    holes = uncovered_indices(sp, members, radius)
+    verdict = verify_covering(Code(sp, members), radius)
+    assert verdict.covered == (holes.size == 0)
+    assert verdict.witness == (index_word(sp, int(holes[0])) if holes.size else None)
+
+
+def test_uncovered_indices_packs_no_byte_per_word():
+    # [2]^22 has 4 MiB words; a bool mask of them alone would reach the
+    # bound. Every fourth word covers the space at radius 2, so no hole is
+    # unpacked, and the packed mask is 512 KiB.
+    sp = HammingSpace(2, 22)
+    members = np.arange(0, sp.size, 4)
+    tracemalloc.start()
+    try:
+        holes = uncovered_indices(sp, members, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert holes.size == 0
+    assert peak < sp.size, peak
 
 
 @pytest.mark.parametrize("q,n,radius", [(3, 5, 1), (5, 3, 2), (7, 3, 1), (2, 8, 2)])
